@@ -47,6 +47,7 @@ from .setsystem import (
     SetSystem,
     ShatterResult,
     build_set_system,
+    canonical_system,
     claim_chain_check,
     export_adjacency,
     greedy_delta_packing,

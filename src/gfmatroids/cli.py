@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .gf import FieldSpec, field_from_order
-from .gfmatrix import GfmParseError, NotABasisError, rref, standard_form
+from .gfmatrix import GfmParseError, NotABasisError
 from .matroid import (
     RepMatroid,
     TooLargeError,
@@ -34,7 +34,7 @@ from .pipeline import (
     packing_ratios,
     verify_dichotomy,
 )
-from .setsystem import build_set_system, separation, shatter
+from .setsystem import canonical_system, separation, shatter
 from . import generators
 
 
@@ -58,11 +58,6 @@ class RunConfig:
 
 class InputError(ValueError):
     """Anything wrong with the command line or the instance source."""
-
-
-def parse_matrix_file(text: str) -> RepMatroid:
-    """Parse `.gfm` text into a matroid; labels default to c0..c{n-1}."""
-    return matroid_from_gfm(text)
 
 
 def _parse_field_flag(text: str) -> FieldSpec:
@@ -98,7 +93,7 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
             text = Path(source).read_text()
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from None
-        m = parse_matrix_file(text)
+        m = matroid_from_gfm(text)
         if field is not None and field != m.field:
             raise InputError(
                 f"--field GF({field.q}) conflicts with file field GF({m.field.q})"
@@ -185,17 +180,10 @@ def _cmd_simplify(config: RunConfig, m: RepMatroid) -> int:
     return 0
 
 
-def _canonical_system(m: RepMatroid):
-    pivots = rref(m.matrix).pivot_cols
-    basis = [m.labels[j] for j in pivots]
-    sf = standard_form(m.matrix, m.labels, basis)
-    return sf, build_set_system(sf)
-
-
 def _cmd_shatter(config: RunConfig, m: RepMatroid) -> int:
     if config.m is None:
         raise InputError("shatter needs --m <int>")
-    sf, system = _canonical_system(m)
+    sf, system = canonical_system(m)
     mode = "sampled" if config.trials else "exact"
     res = shatter(
         system,
@@ -225,7 +213,7 @@ def _cmd_shatter(config: RunConfig, m: RepMatroid) -> int:
 
 
 def _cmd_separation(config: RunConfig, m: RepMatroid) -> int:
-    sf, system = _canonical_system(m)
+    sf, system = canonical_system(m)
     rep = _instance_header(config, m)
     rep.update(
         {
@@ -335,28 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-field matroid analyses: girth, duality, set systems, minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_instance in [
-        ("girth", True),
-        ("dual", True),
-        ("simplify", True),
-        ("shatter", True),
-        ("separation", True),
-        ("verify", True),
-        ("minor", True),
-        ("density", True),
-        ("gen", True),
-    ]:
+    for name in ("girth", "dual", "simplify", "shatter", "separation", "verify", "minor",
+                 "density", "gen"):
         p = sub.add_parser(name)
-        if needs_instance:
-            p.add_argument("instance", help="<path>.gfm | <path>.graph[@gf<q>] | gen:<id>")
+        p.add_argument("instance", help="<path>.gfm | <path>.graph[@gf<q>] | gen:<id>")
         p.add_argument("--field", help="q[:modulus-code]")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**7)
         p.add_argument("--out", help="write the report here instead of stdout")
         if name == "girth":
             p.add_argument("--cutoff", type=int)
         if name == "shatter":
             p.add_argument("--m", type=int, required=True)
+            p.add_argument("--budget", type=int, default=10**7,
+                           help="most subsets exact mode may enumerate")
             p.add_argument("--trials", type=int, help="use seeded sampling instead of exact mode")
         if name == "verify":
             p.add_argument("--t", type=int, required=True)
@@ -373,11 +352,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.field:
         cfg.field = _parse_field_flag(args.field)
     cfg.seed = args.seed
-    cfg.budget = args.budget
     cfg.out = args.out
     cfg.cutoff = getattr(args, "cutoff", None)
     cfg.m = getattr(args, "m", None)
     cfg.trials = getattr(args, "trials", None)
+    cfg.budget = getattr(args, "budget", cfg.budget)
     cfg.target = getattr(args, "target", None)
     if hasattr(args, "t"):
         cfg.t = args.t

@@ -26,12 +26,9 @@ _BUNDLED_MODULI = {
     (5, 2): (2, 4, 1),        # x^2 + 4x + 2
 }
 
-# Largest field order for which full q x q operation tables are built.
-# Beyond this, scalar arithmetic still works (digit-wise / polynomial),
-# but dense matrix kernels refuse the field.
-_TABLE_LIMIT = 256
-
-_ORDER_LIMIT = 1 << 16
+# Largest supported field order: every field gets full q x q operation
+# tables, and matrices store element codes as uint8.
+MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -134,9 +131,8 @@ class FieldSpec:
         GF(p), low degree first.  Ignored for k = 1; for k > 1 it
         defaults to the bundled table and is checked exhaustively.
 
-    Operation tables are precomputed for q <= 256, which covers every
-    field this toolkit is meant to run on; larger fields keep scalar
-    arithmetic but are refused by the dense matrix kernels.
+    Operation tables are precomputed; orders above MAX_ORDER = 256 are
+    refused with ValueError.
     """
 
     __slots__ = (
@@ -151,8 +147,8 @@ class FieldSpec:
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         q = p**k
-        if q > _ORDER_LIMIT:
-            raise ValueError(f"field order {q} exceeds supported limit 2^16")
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
         if k == 1:
             modulus = (0, 1)  # unused; kept monic for serialization
         elif modulus is None:
@@ -197,12 +193,6 @@ class FieldSpec:
         return _code(red + [0] * (self.k - len(red)), self.p)
 
     def _build_tables(self) -> None:
-        if self.q > _TABLE_LIMIT:
-            self._add = self._sub = self._mul = None
-            self._neg = self._inv = None
-            self.add_np = self.sub_np = self.mul_np = None
-            self.neg_np = self.inv_np = None
-            return
         q = self.q
         add = [[self._scalar_add(a, b) for b in range(q)] for a in range(q)]
         mul = [[self._scalar_mul(a, b) for b in range(q)] for a in range(q)]
@@ -236,35 +226,21 @@ class FieldSpec:
         return a
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._scalar_add(a, b)
+        return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        if self._sub is not None:
-            return self._sub[a][b]
-        return self._scalar_add(a, self._scalar_neg(b))
+        return self._sub[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._scalar_neg(a)
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._scalar_mul(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by exhaustive search (q is small here)."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        for b in range(1, self.q):
-            if self._scalar_mul(a, b) == 1:
-                return b
-        raise ValueError(f"element {a} has no inverse in GF({self.q})")
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -280,6 +256,18 @@ class FieldSpec:
             n >>= 1
         return r
 
+    def normalize(self, col: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Projective normal form: `col` scaled so its first nonzero entry is
+        1, or None for the zero vector.  Two nonzero vectors are parallel
+        exactly when their normal forms are equal."""
+        for x in col:
+            if x:
+                if x == 1:
+                    return tuple(col)
+                mrow = self._mul[self._inv[x]]
+                return tuple(mrow[y] for y in col)
+        return None
+
     # -- enumeration and serialization ----------------------------------------
 
     def elements(self) -> range:
@@ -287,10 +275,6 @@ class FieldSpec:
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
-
-    @property
-    def has_tables(self) -> bool:
-        return self._mul is not None
 
     def modulus_code(self) -> int:
         return _code(self.modulus, self.p)
@@ -325,8 +309,8 @@ def field_new(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> Fi
 
 def field_from_order(q: int, modulus_code: Optional[int] = None) -> FieldSpec:
     """Build GF(q) from the order alone, factoring q = p^k."""
-    if q < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
+    if not 2 <= q <= MAX_ORDER:
+        raise ValueError(f"field order must be in [2, {MAX_ORDER}], got {q}")
     p = 2
     while p * p <= q and q % p:
         p += 1

@@ -35,7 +35,7 @@ class GFMatrix:
         if raw.size and (int(raw.min()) < 0 or int(raw.max()) >= field.q):
             bad = int(raw.min()) if int(raw.min()) < 0 else int(raw.max())
             raise ValueError(f"entry {bad} out of range for GF({field.q})")
-        arr = raw.astype(np.uint8 if field.q <= 256 else np.uint16)
+        arr = raw.astype(np.uint8)
         arr.flags.writeable = False
         self.field = field
         self.data = arr
@@ -100,10 +100,6 @@ class RrefResult:
 
 def _rref_array(field: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """In-place reduced row echelon form; returns (array, pivot columns)."""
-    if not field.has_tables:
-        raise ValueError(
-            f"dense matrix operations need operation tables (q <= 256), got GF({field.q})"
-        )
     sub_t, mul_t, inv_t = field.sub_np, field.mul_np, field.inv_np
     rows, cols = data.shape
     pivots: list[int] = []

@@ -1,9 +1,14 @@
 """Represented-matroid core: rank oracle, circuits, girth, duality, minors.
 
 A RepMatroid is the column matroid of a GFMatrix with distinct string
-labels, one per column.  All predicates reduce to exact Gaussian
-elimination over the field; GF(2) columns are additionally packed into
-int bitmasks so the hot search kernels run word-parallel.
+labels, one per column.  Rank, bases, girth, isomorphism profiles and the
+minor screens all ask one question: is this column in the span of the
+columns chosen so far?  One span kernel answers it.  The kernel keeps
+pivots in a dict keyed by lead position; pushing a column stores its
+nonzero residue and returns the key, so a search undoes the step with
+`del piv[key]`.  The field is picked once, when the kernel is built: GF(2)
+columns are int bitmasks reduced word-parallel, other fields use tuples of
+element codes.  Each matroid caches its columns in the kernel's form.
 
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
@@ -14,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldSpec
 from .gfmatrix import GFMatrix, format_gfm, parse_gfm, rref, standard_form
@@ -47,8 +53,9 @@ class RepMatroid:
         self.matrix = matrix
         self.labels = labels
         self._index = {l: j for j, l in enumerate(labels)}
+        self._kernel = _kernel(field)
         self._cols_cache: Optional[list[tuple[int, ...]]] = None
-        self._masks_cache: Optional[list[int]] = None
+        self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
 
     @property
@@ -58,7 +65,7 @@ class RepMatroid:
     @property
     def rank(self) -> int:
         if self._rank_cache is None:
-            self._rank_cache = _rank_cols(self.field, self._cols())
+            self._rank_cache = _rank(self._kernel, self._packed())
         return self._rank_cache
 
     def _cols(self) -> list[tuple[int, ...]]:
@@ -66,11 +73,11 @@ class RepMatroid:
             self._cols_cache = self.matrix.col_tuples()
         return self._cols_cache
 
-    def _masks(self) -> list[int]:
-        # GF(2) columns as row-indexed bitmasks
-        if self._masks_cache is None:
-            self._masks_cache = [_mask_of(c) for c in self._cols()]
-        return self._masks_cache
+    def _packed(self) -> list:
+        # columns in the span kernel's form
+        if self._packed_cache is None:
+            self._packed_cache = [self._kernel.pack(c) for c in self._cols()]
+        return self._packed_cache
 
     def indices_of(self, s: Iterable[str]) -> list[int]:
         out = []
@@ -96,75 +103,94 @@ class RepMatroid:
         return f"RepMatroid({self.field!r}, {self.matrix.rows}x{self.matrix.cols}, n={self.size})"
 
 
-# -- elimination kernels -------------------------------------------------------
+# -- the span kernel ------------------------------------------------------------
 
 
-def _mask_of(col: Sequence[int]) -> int:
-    m = 0
-    for i, x in enumerate(col):
-        if x:
-            m |= 1 << i
-    return m
+class _Kernel(NamedTuple):
+    """Span tests over one field, on columns in the kernel's packed form.
+
+    Pivots live in a dict keyed by lead position.  `push(piv, col)` reduces
+    col against the pivots, stores a nonzero residue under its lead and
+    returns that key, so `del piv[key]` undoes the step; it returns None
+    when col is already in the span.  `spans(piv, col)` is the reduce-only
+    form for leaf tests.
+    """
+
+    pack: Callable[[tuple[int, ...]], object]
+    push: Callable[[dict, object], Optional[int]]
+    spans: Callable[[dict, object], bool]
 
 
-def _reduce_mask(pivots: dict[int, int], mask: int) -> int:
+def _pack2(col: Sequence[int]) -> int:
+    return sum(1 << i for i, x in enumerate(col) if x)
+
+
+def _push2(piv: dict[int, int], mask: int) -> Optional[int]:
     while mask:
         b = mask & -mask
-        p = pivots.get(b)
+        p = piv.get(b)
         if p is None:
-            return mask
+            piv[b] = mask
+            return b
         mask ^= p
-    return 0
-
-
-def _reduce_vec(field: FieldSpec, pivots: list[tuple[int, tuple[int, ...]]],
-                vec: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Reduce vec against pivot vectors; return (lead, normalized) or None if zero."""
-    sub_t, mul_t = field._sub, field._mul
-    v = list(vec)
-    for lead, pv in pivots:
-        c = v[lead]
-        if c:
-            mrow = mul_t[c]
-            v = [sub_t[x][mrow[y]] if y else x for x, y in zip(v, pv)]
-    for i, x in enumerate(v):
-        if x:
-            if x != 1:
-                mrow = mul_t[field._inv[x]]
-                v = [mrow[y] for y in v]
-            return i, tuple(v)
     return None
 
 
-def _rank_cols(field: FieldSpec, cols: Sequence[Sequence[int]],
-               masks: Optional[Sequence[int]] = None) -> int:
+def _spans2(piv: dict[int, int], mask: int) -> bool:
+    while mask:
+        p = piv.get(mask & -mask)
+        if p is None:
+            return False
+        mask ^= p
+    return True
+
+
+def _kernel(field: FieldSpec) -> _Kernel:
+    """GF(2) columns pack into int bitmasks, keyed by their lowest set bit;
+    other fields keep tuples of codes, and a stored residue is scaled so its
+    lead entry is 1."""
     if field.q == 2:
-        piv: dict[int, int] = {}
-        r = 0
-        for mk in (masks if masks is not None else (_mask_of(c) for c in cols)):
-            red = _reduce_mask(piv, mk)
-            if red:
-                piv[red & -red] = red
-                r += 1
-        return r
-    if not field.has_tables:
-        raise TooLargeError(f"rank kernel needs operation tables (q <= 256), got GF({field.q})")
-    pivots: list[tuple[int, tuple[int, ...]]] = []
+        return _Kernel(_pack2, _push2, _spans2)
+    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
+
+    def push(piv: dict[int, tuple[int, ...]], v) -> Optional[int]:
+        for lead, pv in piv.items():
+            c = v[lead]
+            if c:
+                mrow = mul_t[c]
+                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(v, pv)]
+        for i, x in enumerate(v):
+            if x:
+                if x != 1:
+                    mrow = mul_t[inv_t[x]]
+                    v = [mrow[y] for y in v]
+                piv[i] = tuple(v)
+                return i
+        return None
+
+    def spans(piv: dict[int, tuple[int, ...]], v) -> bool:
+        for lead, pv in piv.items():
+            c = v[lead]
+            if c:
+                mrow = mul_t[c]
+                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(v, pv)]
+        return not any(v)
+
+    return _Kernel(tuple, push, spans)
+
+
+def _rank(kern: _Kernel, cols: Iterable) -> int:
+    piv: dict = {}
+    push = kern.push
     for c in cols:
-        red = _reduce_vec(field, pivots, c)
-        if red is not None:
-            pivots.append(red)
-    return len(pivots)
+        push(piv, c)
+    return len(piv)
 
 
 def subset_rank(m: RepMatroid, s: Iterable[str]) -> int:
     """Rank of the column submatrix selected by labels."""
-    idx = m.indices_of(s)
-    if m.field.q == 2:
-        masks = m._masks()
-        return _rank_cols(m.field, (), masks=[masks[j] for j in idx])
-    cols = m._cols()
-    return _rank_cols(m.field, [cols[j] for j in idx])
+    cols = m._packed()
+    return _rank(m._kernel, [cols[j] for j in m.indices_of(s)])
 
 
 def is_independent(m: RepMatroid, s: Iterable[str]) -> bool:
@@ -175,63 +201,33 @@ def is_independent(m: RepMatroid, s: Iterable[str]) -> bool:
 # -- girth ---------------------------------------------------------------------
 
 
-def _exists_dependent_masks(masks: Sequence[int], s: int) -> bool:
-    n = len(masks)
-    piv: dict[int, int] = {}
-
-    def rec(start: int, depth: int) -> bool:
-        if depth == s - 1:
-            for j in range(start, n):
-                if _reduce_mask(piv, masks[j]) == 0:
-                    return True
-            return False
-        for j in range(start, n - (s - 1 - depth)):
-            red = _reduce_mask(piv, masks[j])
-            if red == 0:
-                return True  # dependent set below target size; callers scan sizes upward
-            lb = red & -red
-            piv[lb] = red
-            if rec(j + 1, depth + 1):
-                return True
-            del piv[lb]
-        return False
-
-    return rec(0, 0)
-
-
-def _exists_dependent_vecs(field: FieldSpec, cols: Sequence[Sequence[int]], s: int) -> bool:
+def _exists_dependent(kern: _Kernel, cols: Sequence, s: int) -> bool:
     n = len(cols)
-    pivots: list[tuple[int, tuple[int, ...]]] = []
+    push, spans = kern.push, kern.spans
+    piv: dict = {}
 
     def rec(start: int, depth: int) -> bool:
         if depth == s - 1:
             for j in range(start, n):
-                if _reduce_vec(field, pivots, cols[j]) is None:
+                if spans(piv, cols[j]):
                     return True
             return False
         for j in range(start, n - (s - 1 - depth)):
-            red = _reduce_vec(field, pivots, cols[j])
-            if red is None:
-                return True
-            pivots.append(red)
+            key = push(piv, cols[j])
+            if key is None:
+                return True  # dependent set below target size; callers scan sizes upward
             if rec(j + 1, depth + 1):
                 return True
-            pivots.pop()
+            del piv[key]
         return False
 
     return rec(0, 0)
 
 
-def _min_dependent_size(field: FieldSpec, cols: Sequence[Sequence[int]], limit: int,
-                        masks: Optional[Sequence[int]] = None) -> Optional[int]:
+def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[int]:
     """Smallest s <= limit with a dependent s-subset, scanning sizes upward."""
-    if field.q == 2 and masks is None:
-        masks = [_mask_of(c) for c in cols]
     for s in range(1, limit + 1):
-        if field.q == 2:
-            if _exists_dependent_masks(masks, s):
-                return s
-        elif _exists_dependent_vecs(field, cols, s):
+        if _exists_dependent(kern, cols, s):
             return s
     return None
 
@@ -251,14 +247,7 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None, max_exact: int = 24):
     if m.rank == n:
         return math.inf
     hi = m.rank + 1 if cutoff is None else min(cutoff, m.rank + 1)
-    masks = m._masks() if m.field.q == 2 else None
-    for s in range(1, hi + 1):
-        if m.field.q == 2:
-            if _exists_dependent_masks(masks, s):
-                return s
-        elif _exists_dependent_vecs(m.field, m._cols(), s):
-            return s
-    return None
+    return _min_dependent_size(m._kernel, m._packed(), hi)
 
 
 # -- exhaustive rank tables and bases --------------------------------------------
@@ -270,87 +259,53 @@ def rank_table(m: RepMatroid, max_size: int = 16) -> list[int]:
     if n > max_size:
         raise TooLargeError(f"rank_table limited to {max_size} elements (|E| = {n})")
     table = [0] * (1 << n)
-    if m.field.q == 2:
-        masks = m._masks()
-        piv: dict[int, int] = {}
+    cols, push = m._packed(), m._kernel.push
+    piv: dict = {}
 
-        def rec2(idx: int, mask: int, rk: int) -> None:
-            if idx == n:
-                table[mask] = rk
-                return
-            rec2(idx + 1, mask, rk)
-            red = _reduce_mask(piv, masks[idx])
-            if red:
-                lb = red & -red
-                piv[lb] = red
-                rec2(idx + 1, mask | (1 << idx), rk + 1)
-                del piv[lb]
-            else:
-                rec2(idx + 1, mask | (1 << idx), rk)
-
-        rec2(0, 0, 0)
-        return table
-    cols = m._cols()
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-
-    def rec(idx: int, mask: int, rk: int) -> None:
+    def rec(idx: int, mask: int) -> None:
         if idx == n:
-            table[mask] = rk
+            table[mask] = len(piv)
             return
-        rec(idx + 1, mask, rk)
-        red = _reduce_vec(m.field, pivots, cols[idx])
-        if red is not None:
-            pivots.append(red)
-            rec(idx + 1, mask | (1 << idx), rk + 1)
-            pivots.pop()
-        else:
-            rec(idx + 1, mask | (1 << idx), rk)
+        rec(idx + 1, mask)
+        key = push(piv, cols[idx])
+        rec(idx + 1, mask | (1 << idx))
+        if key is not None:
+            del piv[key]
 
-    rec(0, 0, 0)
+    rec(0, 0)
     return table
+
+
+def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
+    """All independent `size`-subsets, in lexicographic column-index order."""
+    n = m.size
+    cols, push = m._packed(), m._kernel.push
+    out: list[tuple[str, ...]] = []
+    piv: dict = {}
+    chosen: list[int] = []
+
+    def rec(start: int) -> None:
+        if len(chosen) == size:
+            out.append(tuple(m.labels[j] for j in chosen))
+            return
+        for j in range(start, n - (size - len(chosen)) + 1):
+            key = push(piv, cols[j])
+            if key is None:
+                continue
+            chosen.append(j)
+            rec(j + 1)
+            chosen.pop()
+            del piv[key]
+
+    rec(0)
+    return out
 
 
 def bases(m: RepMatroid, max_size: int = 16) -> list[tuple[str, ...]]:
     """All bases, in lexicographic column-index order."""
-    n = m.size
-    if n > max_size:
-        raise TooLargeError(f"basis enumeration limited to {max_size} elements (|E| = {n})")
-    r = m.rank
-    out: list[tuple[str, ...]] = []
-    use_masks = m.field.q == 2
-    masks = m._masks() if use_masks else None
-    cols = m._cols()
-    piv: dict[int, int] = {}
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    chosen: list[int] = []
-
-    def rec(start: int) -> None:
-        if len(chosen) == r:
-            out.append(tuple(m.labels[j] for j in chosen))
-            return
-        for j in range(start, n - (r - len(chosen)) + 1):
-            if use_masks:
-                red = _reduce_mask(piv, masks[j])
-                if not red:
-                    continue
-                lb = red & -red
-                piv[lb] = red
-                chosen.append(j)
-                rec(j + 1)
-                chosen.pop()
-                del piv[lb]
-            else:
-                red = _reduce_vec(m.field, pivots, cols[j])
-                if red is None:
-                    continue
-                pivots.append(red)
-                chosen.append(j)
-                rec(j + 1)
-                chosen.pop()
-                pivots.pop()
-
-    rec(0)
-    return out
+    if m.size > max_size:
+        raise TooLargeError(f"basis enumeration limited to {max_size} elements (|E| = {m.size})")
+    return _independent_subsets(m, m.rank)
 
 
 def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
@@ -358,6 +313,7 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
     rng = random.Random(seed)
     n = m.size
     r = m.rank
+    cols, push = m._packed(), m._kernel.push
     seen: set[tuple[str, ...]] = set()
     out: list[tuple[str, ...]] = []
     attempts = 0
@@ -365,28 +321,13 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
         attempts += 1
         order = list(range(n))
         rng.shuffle(order)
-        if m.field.q == 2:
-            masks = m._masks()
-            piv: dict[int, int] = {}
-            chosen = []
-            for j in order:
-                red = _reduce_mask(piv, masks[j])
-                if red:
-                    piv[red & -red] = red
-                    chosen.append(j)
-                    if len(chosen) == r:
-                        break
-        else:
-            cols = m._cols()
-            pivots: list[tuple[int, tuple[int, ...]]] = []
-            chosen = []
-            for j in order:
-                red = _reduce_vec(m.field, pivots, cols[j])
-                if red is not None:
-                    pivots.append(red)
-                    chosen.append(j)
-                    if len(chosen) == r:
-                        break
+        piv: dict = {}
+        chosen = []
+        for j in order:
+            if push(piv, cols[j]) is not None:
+                chosen.append(j)
+                if len(chosen) == r:
+                    break
         basis = tuple(sorted(m.labels[j] for j in chosen))
         if basis not in seen:
             seen.add(basis)
@@ -424,8 +365,6 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     if overlap:
         raise ValueError(f"delete and contract overlap: {sorted(overlap)}")
     field = m.field
-    if not field.has_tables:
-        raise TooLargeError(f"minor needs operation tables (q <= 256), got GF({field.q})")
     work = m.matrix.data.copy()
     sub_t, mul_t, inv_t = field.sub_np, field.mul_np, field.inv_np
     used_rows: set[int] = set()
@@ -459,24 +398,12 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     return RepMatroid(field, GFMatrix(field, new.copy()), labels)
 
 
-def _norm_col(field: FieldSpec, col: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Projective normalization: scale so the first nonzero entry is 1."""
-    for x in col:
-        if x:
-            if x == 1:
-                return tuple(col)
-            c = field.inv(x)
-            mul = field.mul
-            return tuple(mul(c, y) for y in col)
-    return None
-
-
 def simplify(m: RepMatroid) -> RepMatroid:
     """Drop loops; keep the lexicographically least label of each parallel class."""
     cols = m._cols()
     best: dict[tuple[int, ...], str] = {}
     for lab, col in zip(m.labels, cols):
-        key = _norm_col(m.field, col)
+        key = m.field.normalize(col)
         if key is None:
             continue
         if key not in best or lab < best[key]:
@@ -503,7 +430,7 @@ def cosimple_certificate(m: RepMatroid) -> Optional[tuple[str, tuple[str, ...]]]
             return ("coloop", (lab,))
     seen: dict[tuple[int, ...], str] = {}
     for lab, col in zip(d.labels, cols):
-        key = _norm_col(d.field, col)
+        key = d.field.normalize(col)
         if key is None:
             continue
         if key in seen:
@@ -549,38 +476,22 @@ class _Profile:
     """Label-free fingerprint: the full independence relation plus per-element
     invariants used to prune the bijection search."""
 
-    def __init__(self, field: FieldSpec, cols: Sequence[Sequence[int]]):
+    def __init__(self, kern: _Kernel, cols: Sequence):
         n = len(cols)
         self.n = n
         indep: set[int] = set()
-        if field.q == 2:
-            masks = [_mask_of(c) for c in cols]
-            piv: dict[int, int] = {}
+        push = kern.push
+        piv: dict = {}
 
-            def rec2(start: int, mask: int) -> None:
-                indep.add(mask)
-                for j in range(start, n):
-                    red = _reduce_mask(piv, masks[j])
-                    if red:
-                        lb = red & -red
-                        piv[lb] = red
-                        rec2(j + 1, mask | (1 << j))
-                        del piv[lb]
+        def rec(start: int, mask: int) -> None:
+            indep.add(mask)
+            for j in range(start, n):
+                key = push(piv, cols[j])
+                if key is not None:
+                    rec(j + 1, mask | (1 << j))
+                    del piv[key]
 
-            rec2(0, 0)
-        else:
-            pivots: list[tuple[int, tuple[int, ...]]] = []
-
-            def rec(start: int, mask: int) -> None:
-                indep.add(mask)
-                for j in range(start, n):
-                    red = _reduce_vec(field, pivots, cols[j])
-                    if red is not None:
-                        pivots.append(red)
-                        rec(j + 1, mask | (1 << j))
-                        pivots.pop()
-
-            rec(0, 0)
+        rec(0, 0)
         self.indep = indep
         self.rank = max(bin(x).count("1") for x in indep) if indep else 0
         base_masks = [x for x in indep if bin(x).count("1") == self.rank]
@@ -645,65 +556,24 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid, max_size: int = 12) -> bool:
     if a.size > max_size:
         raise TooLargeError(f"isomorphism limited to {max_size} elements (|E| = {a.size})")
     return _match_profiles(
-        _Profile(a.field, a._cols()), _Profile(b.field, b._cols())
+        _Profile(a._kernel, a._packed()), _Profile(b._kernel, b._packed())
     )
 
 
 # -- minor containment -------------------------------------------------------------
 
 
-def _loop_count(cols: Sequence[Sequence[int]]) -> int:
-    return sum(1 for c in cols if not any(c))
+def _class_ids(m: RepMatroid) -> list[int]:
+    """Per column: 0 for a loop, else an id shared exactly by its parallel class."""
+    ids: dict = {None: 0}
+    return [ids.setdefault(m.field.normalize(c), len(ids)) for c in m._cols()]
 
 
-def _parallel_multiset(field: FieldSpec, cols: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    classes: dict[tuple[int, ...], int] = {}
-    for c in cols:
-        key = _norm_col(field, c)
-        if key is not None:
-            classes[key] = classes.get(key, 0) + 1
-    return tuple(sorted(classes.values()))
-
-
-def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
-    n = m.size
-    out: list[tuple[str, ...]] = []
-    if size == 0:
-        return [()]
-    use_masks = m.field.q == 2
-    masks = m._masks() if use_masks else None
-    cols = m._cols()
-    piv: dict[int, int] = {}
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    chosen: list[int] = []
-
-    def rec(start: int) -> None:
-        if len(chosen) == size:
-            out.append(tuple(m.labels[j] for j in chosen))
-            return
-        for j in range(start, n - (size - len(chosen)) + 1):
-            if use_masks:
-                red = _reduce_mask(piv, masks[j])
-                if not red:
-                    continue
-                lb = red & -red
-                piv[lb] = red
-                chosen.append(j)
-                rec(j + 1)
-                chosen.pop()
-                del piv[lb]
-            else:
-                red = _reduce_vec(m.field, pivots, cols[j])
-                if red is None:
-                    continue
-                pivots.append(red)
-                chosen.append(j)
-                rec(j + 1)
-                chosen.pop()
-                pivots.pop()
-
-    rec(0)
-    return out
+def _class_screen(ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Loop count and sorted parallel-class sizes, from `_class_ids` values."""
+    counts = Counter(ids)
+    loops = counts.pop(0, 0)
+    return loops, tuple(sorted(counts.values()))
 
 
 def has_minor(m: RepMatroid, target: RepMatroid, max_size: int = 16,
@@ -724,32 +594,28 @@ def has_minor(m: RepMatroid, target: RepMatroid, max_size: int = 16,
     d_count = m.size - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_cols = target._cols()
-    t_profile = _Profile(target.field, t_cols)
-    t_loops = _loop_count(t_cols)
-    t_parallel = _parallel_multiset(target.field, t_cols)
-    t_girth = _min_dependent_size(target.field, t_cols, target.size)
-    field = m.field
+    t_cols = target._packed()
+    t_profile = _Profile(target._kernel, t_cols)
+    t_screen = _class_screen(_class_ids(target))
+    t_girth = _min_dependent_size(target._kernel, t_cols, target.size)
+    kern = m._kernel
     for cset in _independent_subsets(m, r_diff):
         base = minor(m, delete=(), contract=cset)
-        bcols = base._cols()
-        bmasks = base._masks() if field.q == 2 else None
+        bcols = base._packed()
+        bids = _class_ids(base)
         nb = base.size
         for didx in itertools.combinations(range(nb), d_count):
             drop = set(didx)
-            cand = [bcols[j] for j in range(nb) if j not in drop]
-            cand_masks = [bmasks[j] for j in range(nb) if j not in drop] if bmasks is not None else None
-            if _rank_cols(field, cand, masks=cand_masks) != target.rank:
+            keep = [j for j in range(nb) if j not in drop]
+            cand = [bcols[j] for j in keep]
+            if _rank(kern, cand) != target.rank:
                 continue
-            if _loop_count(cand) != t_loops:
-                continue
-            if _parallel_multiset(field, cand) != t_parallel:
+            if _class_screen([bids[j] for j in keep]) != t_screen:
                 continue
             if t_girth is not None and t_girth > 3:
-                small = _min_dependent_size(field, cand, t_girth - 1, masks=cand_masks)
-                if small is not None:
+                if _min_dependent_size(kern, cand, t_girth - 1) is not None:
                     continue
-            if _match_profiles(_Profile(field, cand), t_profile):
+            if _match_profiles(_Profile(kern, cand), t_profile):
                 dels = frozenset(base.labels[j] for j in didx)
                 return (dels, frozenset(cset))
     return None

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .gf import FieldSpec
-from .gfmatrix import StandardForm
+from .gfmatrix import StandardForm, rref, standard_form
 
 
 class InsufficientFamilyError(ValueError):
@@ -80,6 +80,14 @@ def build_set_system(sf: StandardForm) -> SetSystem:
                 mask |= 1 << (i * (q - 1) + (v - 1))
         members.append((e, mask))
     return SetSystem(sf.field, sf.basis_order, members)
+
+
+def canonical_system(m) -> tuple[StandardForm, SetSystem]:
+    """Standard form of a matroid over its lexicographically first basis
+    (the pivot columns of its rref), and the set system of that form."""
+    basis = [m.labels[j] for j in rref(m.matrix).pivot_cols]
+    sf = standard_form(m.matrix, m.labels, basis)
+    return sf, build_set_system(sf)
 
 
 def _popcount(x: int) -> int:
@@ -223,14 +231,8 @@ def claim_chain_check(s: SetSystem, sf: StandardForm, w: Iterable[GroundPair]) -
     rows = [i for i, b in enumerate(sf.basis_order) if b in set(b_w)]
     a = sf.a.data
     restricted = {tuple(int(a[i, j]) for i in rows) for j in range(len(sf.nonbasis_order))}
-    classes = set()
     field = sf.field
-    for col in restricted:
-        for x in col:
-            if x:
-                c = field.inv(x)
-                classes.add(tuple(field.mul(c, y) for y in col))
-                break
+    classes = {field.normalize(col) for col in restricted} - {None}
     traces = trace_count(s, w)
     distinct = len(restricted)
     ok = traces <= distinct <= (field.q - 1) * len(classes) + 1

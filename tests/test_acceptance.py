@@ -15,7 +15,7 @@ import pytest
 
 from gfmatroids import (
     bases,
-    build_set_system,
+    canonical_system,
     claim_chain_check,
     clique,
     dual,
@@ -34,10 +34,8 @@ from gfmatroids import (
     projective_geometry,
     random_matroid,
     rank_table,
-    rref,
     sample_bases,
     simplify,
-    standard_form,
     subset_rank,
     sym_diff_size,
     uniform,
@@ -59,12 +57,6 @@ def criterion(num, name):
         print(f"[acceptance] criterion {num:2d} {name}: FAIL")
         raise
     print(f"[acceptance] criterion {num:2d} {name}: PASS")
-
-
-def canonical_system(m):
-    pivots = rref(m.matrix).pivot_cols
-    sf = standard_form(m.matrix, m.labels, {m.labels[j] for j in pivots})
-    return sf, build_set_system(sf)
 
 
 def test_criterion_01_field_axioms():

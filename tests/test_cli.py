@@ -1,7 +1,7 @@
 import json
 
 from gfmatroids import matroid_from_gfm
-from gfmatroids.cli import main, parse_matrix_file, resolve_instance
+from gfmatroids.cli import main, resolve_instance
 
 
 def run_cli(capsys, *argv):
@@ -43,7 +43,7 @@ def test_gen_roundtrip_preserves_labels_and_matrix(tmp_path, capsys):
     out = tmp_path / "u.gfm"
     code, _ = run_cli(capsys, "gen", "u_2_4@gf5", "--out", str(out))
     assert code == 0
-    m = parse_matrix_file(out.read_text())
+    m = matroid_from_gfm(out.read_text())
     from gfmatroids import uniform, field_from_order
 
     u = uniform(2, 4, field_from_order(5))
@@ -55,11 +55,11 @@ def test_gen_with_field_flag(tmp_path, capsys):
     out = tmp_path / "u.gfm"
     code, _ = run_cli(capsys, "gen", "u_2_4", "--field", "5", "--out", str(out))
     assert code == 0
-    assert parse_matrix_file(out.read_text()).field.q == 5
+    assert matroid_from_gfm(out.read_text()).field.q == 5
 
 
 def test_parse_default_labels():
-    m = parse_matrix_file("gfm q=2 rows=1 cols=3\n1 0 1\n")
+    m = matroid_from_gfm("gfm q=2 rows=1 cols=3\n1 0 1\n")
     assert m.labels == ("c0", "c1", "c2")
 
 
@@ -73,8 +73,26 @@ def test_parse_error_reports_line(tmp_path, capsys):
 
 
 def test_parse_gf4_header_uses_bundled_modulus():
-    m = parse_matrix_file("gfm q=4 rows=2 cols=3\n1 2 3\n0 1 1\n")
+    m = matroid_from_gfm("gfm q=4 rows=2 cols=3\n1 2 3\n0 1 1\n")
     assert m.field.modulus == (1, 1, 1)
+
+
+def test_unsupported_field_order_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "q257.gfm"
+    p.write_text("gfm q=257 rows=1 cols=1\n256\n")
+    code, rep = run_json(capsys, "girth", str(p))
+    assert code == 2
+    assert rep["error"]["type"] == "GfmParseError"
+    assert "line 1" in rep["error"]["message"]
+
+
+def test_budget_only_on_shatter(capsys):
+    code, rep = run_json(capsys, "girth", "gen:mk4", "--budget", "5")
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    code, rep = run_json(capsys, "shatter", "gen:petersen@gf2", "--m", "4", "--budget", "5")
+    assert code == 2
+    assert "budget" in rep["error"]["message"]
 
 
 def test_verify_bridge_rejected_with_certificate(tmp_path, capsys):

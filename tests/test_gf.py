@@ -154,8 +154,7 @@ def test_field_from_order_rejects_non_prime_powers():
             field_from_order(bad)
 
 
-def test_large_prime_field_without_tables():
-    f = field_from_order(521)
-    assert not f.has_tables
-    assert f.mul(260, 2) == 520 % 521
-    assert f.mul(f.inv(7), 7) == 1
+def test_fields_above_256_are_refused():
+    for q in (257, 521):
+        with pytest.raises(ValueError, match="256"):
+            field_from_order(q)

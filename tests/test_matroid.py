@@ -28,6 +28,7 @@ from gfmatroids import (
     projective_geometry,
     rank_table,
     random_matroid,
+    sample_bases,
     simplify,
     subset_rank,
     uniform,
@@ -350,10 +351,44 @@ def test_gfm_roundtrip():
     assert back.matrix == m.matrix
 
 
-def test_rank_table_matches_subset_rank():
-    m = random_matroid(3, 8, F3, seed=123)
-    table = rank_table(m)
-    labels = m.labels
-    for mask in range(1 << m.size):
-        subset = [labels[j] for j in range(m.size) if mask >> j & 1]
-        assert table[mask] == subset_rank(m, subset)
+def test_rank_table_matches_brute_rank():
+    from oracles import brute_rank, poly_add_oracle, poly_mul_oracle
+
+    for q in (2, 3, 4):
+        f = field_from_order(q)
+        if f.k == 1:
+            add, mul = (lambda a, b: (a + b) % q), (lambda a, b: (a * b) % q)
+        else:
+            add = lambda a, b: poly_add_oracle(f.p, f.k, a, b)  # noqa: E731
+            mul = lambda a, b: poly_mul_oracle(f.p, f.k, f.modulus, a, b)  # noqa: E731
+        m = random_matroid(3, 7, f, seed=800 + q)
+        cols = m.matrix.col_tuples()
+        table = rank_table(m)
+        for mask in range(1 << m.size):
+            sub = [cols[j] for j in range(m.size) if mask >> j & 1]
+            assert table[mask] == brute_rank(q, add, mul, sub)
+
+
+def test_sample_bases_seeded_gf2():
+    pet = graphic(named_graph("petersen"), F2)
+    got = sample_bases(pet, 4, 7)
+    assert got == [
+        ("0-4", "1-2", "1-6", "3-4", "4-9", "5-8", "6-8", "6-9", "7-9"),
+        ("0-1", "0-5", "1-6", "2-3", "3-4", "4-9", "5-7", "5-8", "6-9"),
+        ("0-4", "0-5", "1-6", "2-3", "3-4", "3-8", "5-7", "6-8", "6-9"),
+        ("0-1", "1-2", "1-6", "2-3", "2-7", "3-4", "5-8", "6-8", "7-9"),
+    ]
+    assert set(got) <= {tuple(sorted(b)) for b in bases(pet)}
+
+
+def test_sample_bases_seeded_gf3():
+    m = random_matroid(3, 7, F3, seed=41)
+    got = sample_bases(m, 5, 3)
+    assert got == [
+        ("e0", "e2", "e3"),
+        ("e1", "e2", "e3"),
+        ("e0", "e2", "e6"),
+        ("e1", "e2", "e5"),
+        ("e3", "e5", "e6"),
+    ]
+    assert set(got) <= {tuple(sorted(b)) for b in bases(m)}

@@ -8,13 +8,13 @@ from gfmatroids import (
     GFMatrix,
     InsufficientFamilyError,
     build_set_system,
+    canonical_system,
     claim_chain_check,
     export_adjacency,
     field_from_order,
     greedy_delta_packing,
     hamming_distance,
     random_matroid,
-    rref,
     separation,
     shatter,
     standard_form,
@@ -32,12 +32,6 @@ def sf_from_a(q, a_rows):
     full = np.hstack([eye, np.array(a_rows, dtype=np.uint8)]) if c else eye
     labels = [f"b{i + 1}" for i in range(r)] + [f"e{j + 1}" for j in range(c)]
     return standard_form(GFMatrix(f, full), labels, {l for l in labels if l.startswith("b")})
-
-
-def canonical_system(m):
-    pivots = rref(m.matrix).pivot_cols
-    sf = standard_form(m.matrix, m.labels, {m.labels[j] for j in pivots})
-    return sf, build_set_system(sf)
 
 
 def test_build_matches_figure_golden():
