@@ -69,6 +69,7 @@ from .generators import (
     parse_graph,
     projective_geometry,
     random_matroid,
+    split_field_suffix,
     uniform,
 )
 from .pipeline import (

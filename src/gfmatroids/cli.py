@@ -12,15 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .gf import FieldSpec, field_from_order
-from .gfmatrix import GfmParseError, NotABasisError
 from .matroid import (
     RepMatroid,
-    TooLargeError,
     dual,
     girth,
     has_minor,
@@ -34,51 +31,43 @@ from .pipeline import (
     packing_ratios,
     verify_dichotomy,
 )
-from .setsystem import canonical_system, separation, shatter
+from .setsystem import SetSystem, canonical_system, separation, shatter
 from . import generators
-
-
-@dataclass
-class RunConfig:
-    command: str
-    instance: Optional[str] = None
-    field: Optional[FieldSpec] = None
-    t: int = 4
-    basis_mode: str = "all"
-    samples: int = 20
-    seed: int = 0
-    budget: int = 10**7
-    cutoff: Optional[int] = None
-    m: Optional[int] = None
-    trials: Optional[int] = None
-    target: Optional[str] = None
-    deltas: tuple[int, ...] = (1, 2, 3, 4)
-    out: Optional[str] = None
 
 
 class InputError(ValueError):
     """Anything wrong with the command line or the instance source."""
 
 
-def _parse_field_flag(text: str) -> FieldSpec:
+# -- option converters: argparse turns ArgumentTypeError into a usage error ----
+
+
+def _field_arg(text: str) -> FieldSpec:
     q_part, _, mod_part = text.partition(":")
     try:
-        q = int(q_part)
-        mod = int(mod_part) if mod_part else None
-        return field_from_order(q, mod)
+        return field_from_order(int(q_part), int(mod_part) if mod_part else None)
     except ValueError as exc:
-        raise InputError(f"bad --field value {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad field {text!r}: {exc}") from None
 
 
-def _parse_basis_flag(text: str) -> tuple[str, int]:
+def _basis_arg(text: str) -> tuple[str, int]:
+    """`all` or `sample:<n>`, as (mode, samples); `all` keeps the default
+    sample count for instances too large to enumerate."""
     if text == "all":
-        return "all", 0
+        return "all", 20
     if text.startswith("sample:"):
         try:
-            return "sample", int(text.split(":", 1)[1])
+            return "sample", int(text[len("sample:"):])
         except ValueError:
             pass
-    raise InputError(f"--basis must be `all` or `sample:<n>`, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected `all` or `sample:<n>`, got {text!r}")
+
+
+def _deltas_arg(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from None
 
 
 def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatroid:
@@ -100,17 +89,15 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
             )
         return m
     if ".graph" in source:
-        path, _, suffix = source.partition("@gf")
-        f = field
-        if suffix:
-            gf = field_from_order(int(suffix))
-            if f is not None and f != gf:
-                raise InputError(
-                    f"--field GF({f.q}) conflicts with instance suffix @gf{suffix}"
-                )
-            f = gf
-        if f is None:
-            f = field_from_order(2)
+        try:
+            path, f = generators.split_field_suffix(source)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        if f is not None and field is not None and f != field:
+            raise InputError(
+                f"--field GF({field.q}) conflicts with instance suffix @gf{f.q}"
+            )
+        f = f or field or field_from_order(2)
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -125,190 +112,154 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
     )
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+# -- command handlers: each returns (exit code, report) ---------------------------
 
 
-def _emit_json(config: RunConfig, obj: dict) -> None:
-    _emit(config, json.dumps(obj, indent=2) + "\n")
+def _load(args: argparse.Namespace) -> tuple[RepMatroid, dict]:
+    """The instance and the report header that names it."""
+    m = resolve_instance(args.instance, args.field)
+    return m, {"command": args.command, "instance": args.instance, "field": m.field.spec_string()}
 
 
-def _instance_header(config: RunConfig, m: RepMatroid) -> dict:
-    return {
-        "command": config.command,
-        "instance": config.instance,
-        "field": m.field.spec_string(),
-    }
-
-
-def _cmd_girth(config: RunConfig, m: RepMatroid) -> int:
-    g = girth(m, cutoff=config.cutoff)
-    rep = _instance_header(config, m)
+def _cmd_girth(args: argparse.Namespace) -> tuple[int, dict]:
+    m, rep = _load(args)
+    g = girth(m, cutoff=args.cutoff)
     rep.update({"elements": m.size, "rank": m.rank})
     if g is None:
         rep["girth"] = None
-        rep["exceeds_cutoff"] = config.cutoff
+        rep["exceeds_cutoff"] = args.cutoff
     else:
         rep["girth"] = "infinity" if g == math.inf else g
-    _emit_json(config, rep)
-    return 0
+    return 0, rep
 
 
-def _matroid_payload(m: RepMatroid) -> dict:
-    return {
-        "elements": m.size,
-        "rank": m.rank,
-        "labels": list(m.labels),
-        "gfm": matroid_to_gfm(m),
-    }
+def _cmd_transform(args: argparse.Namespace) -> tuple[int, dict]:
+    """`dual` and `simplify`: report the resulting matroid, .gfm included."""
+    m, rep = _load(args)
+    out = (dual if args.command == "dual" else simplify)(m)
+    rep.update({
+        "elements": out.size,
+        "rank": out.rank,
+        "labels": list(out.labels),
+        "gfm": matroid_to_gfm(out),
+    })
+    return 0, rep
 
 
-def _cmd_dual(config: RunConfig, m: RepMatroid) -> int:
-    rep = _instance_header(config, m)
-    rep.update(_matroid_payload(dual(m)))
-    _emit_json(config, rep)
-    return 0
-
-
-def _cmd_simplify(config: RunConfig, m: RepMatroid) -> int:
-    rep = _instance_header(config, m)
-    rep.update(_matroid_payload(simplify(m)))
-    _emit_json(config, rep)
-    return 0
-
-
-def _cmd_shatter(config: RunConfig, m: RepMatroid) -> int:
-    if config.m is None:
-        raise InputError("shatter needs --m <int>")
+def _set_system_header(args: argparse.Namespace) -> tuple[SetSystem, dict]:
+    m, rep = _load(args)
     sf, system = canonical_system(m)
-    mode = "sampled" if config.trials else "exact"
-    res = shatter(
-        system,
-        config.m,
-        mode=mode,
-        trials=config.trials or 1000,
-        seed=config.seed,
-        budget=config.budget,
-    )
-    rep = _instance_header(config, m)
-    rep.update(
-        {
-            "basis": list(sf.basis_order),
-            "ground_size": len(system.ground),
-            "family_size": len(system.members),
-            "m": res.m,
-            "mode": mode,
-            "value": res.value,
-            "exact": res.exact,
-            "subsets_checked": res.subsets_checked,
-        }
-    )
+    rep.update({
+        "basis": list(sf.basis_order),
+        "ground_size": len(system.ground),
+        "family_size": len(system.members),
+    })
+    return system, rep
+
+
+def _cmd_shatter(args: argparse.Namespace) -> tuple[int, dict]:
+    system, rep = _set_system_header(args)
+    mode = "sampled" if args.trials else "exact"
+    res = shatter(system, args.m, mode=mode, trials=args.trials or 1000,
+                  seed=args.seed, budget=args.budget)
+    rep.update({
+        "m": res.m,
+        "mode": mode,
+        "value": res.value,
+        "exact": res.exact,
+        "subsets_checked": res.subsets_checked,
+    })
     if mode == "sampled":
-        rep["seed"] = config.seed
-    _emit_json(config, rep)
-    return 0
+        rep["seed"] = args.seed
+    return 0, rep
 
 
-def _cmd_separation(config: RunConfig, m: RepMatroid) -> int:
-    sf, system = canonical_system(m)
-    rep = _instance_header(config, m)
-    rep.update(
-        {
-            "basis": list(sf.basis_order),
-            "ground_size": len(system.ground),
-            "family_size": len(system.members),
-        }
-    )
+def _cmd_separation(args: argparse.Namespace) -> tuple[int, dict]:
+    system, rep = _set_system_header(args)
     sep = separation(system)
-    rep.update(
-        {
-            "min_pair": list(sep.min_pair),
-            "sym_diff": sep.sym_diff,
-            "hamming": sep.hamming,
-            "delta_separated_at": sep.delta_separated_at,
-            "packings": packing_ratios(system, config.deltas),
-        }
-    )
-    _emit_json(config, rep)
-    return 0
+    rep.update({
+        "min_pair": list(sep.min_pair),
+        "sym_diff": sep.sym_diff,
+        "hamming": sep.hamming,
+        "delta_separated_at": sep.delta_separated_at,
+        "packings": packing_ratios(system, args.deltas),
+    })
+    return 0, rep
 
 
-def _cmd_verify(config: RunConfig, m: RepMatroid) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    m, _ = _load(args)
+    basis_mode, samples = args.basis
     try:
-        report = verify_dichotomy(
-            m,
-            config.t,
-            basis_mode=config.basis_mode,
-            samples=config.samples,
-            seed=config.seed,
-            instance_id=config.instance,
-        )
+        report = verify_dichotomy(m, args.t, basis_mode=basis_mode, samples=samples,
+                                  seed=args.seed, instance_id=args.instance)
     except NotCosimpleError as exc:
         kind, elements = exc.certificate
-        _emit_json(
-            config,
-            {
-                "command": config.command,
-                "instance": config.instance,
-                "cosimple": False,
-                "certificate": {"kind": kind, "elements": sorted(elements)},
-                "error": "not cosimple",
-            },
-        )
-        return 1
-    rep = {"command": config.command}
-    rep.update(report.to_json_dict())
-    _emit_json(config, rep)
-    return 0
+        return 1, {
+            "command": args.command,
+            "instance": args.instance,
+            "cosimple": False,
+            "certificate": {"kind": kind, "elements": sorted(elements)},
+            "error": "not cosimple",
+        }
+    return 0, {"command": args.command, **report.to_json_dict()}
 
 
-def _cmd_minor(config: RunConfig, m: RepMatroid) -> int:
-    if not config.target:
-        raise InputError("minor needs --target <instance>")
-    target = resolve_instance(config.target, config.field)
-    witness = has_minor(m, target)
-    rep = _instance_header(config, m)
-    rep["target"] = config.target
-    if witness is None:
-        rep["found"] = False
-    else:
+def _cmd_minor(args: argparse.Namespace) -> tuple[int, dict]:
+    m, rep = _load(args)
+    witness = has_minor(m, resolve_instance(args.target, args.field))
+    rep["target"] = args.target
+    rep["found"] = witness is not None
+    if witness is not None:
         dels, cons = witness
-        rep["found"] = True
         rep["delete"] = sorted(dels)
         rep["contract"] = sorted(cons)
-    _emit_json(config, rep)
-    return 0
+    return 0, rep
 
 
-def _cmd_density(config: RunConfig, m: RepMatroid) -> int:
+def _cmd_density(args: argparse.Namespace) -> tuple[int, dict]:
+    m, rep = _load(args)
     d = density_ratio(m)
-    rep = _instance_header(config, m)
     rep.update({"elements": d.elements, "rank": d.rank, "ratio": d.ratio})
-    _emit_json(config, rep)
-    return 0
+    return 0, rep
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    gen_id = config.instance
-    if gen_id.startswith("gen:"):
-        gen_id = gen_id[4:]
-    if config.out and config.out.endswith(".graph"):
-        base = gen_id.partition("@gf")[0]
-        try:
-            g = generators.named_graph(base)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        _emit(config, generators.format_graph(g))
-        return 0
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+    """Write a generator's matroid as .gfm, or its graph when --out ends in .graph."""
+    gen_id = args.instance.removeprefix("gen:")
+    if not (args.out and args.out.endswith(".graph")):
+        return 0, matroid_to_gfm(resolve_instance("gen:" + gen_id, args.field))
     try:
-        m = generators.from_id(gen_id, default_field=config.field)
+        base, _ = generators.split_field_suffix(gen_id)
+        return 0, generators.format_graph(generators.named_graph(base))
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    _emit(config, matroid_to_gfm(m))
-    return 0
+
+
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# command -> (handler, options beyond the instance, --field and --out)
+_COMMANDS = {
+    "girth": (_cmd_girth, [("--cutoff", {"type": int})]),
+    "dual": (_cmd_transform, []),
+    "simplify": (_cmd_transform, []),
+    "shatter": (_cmd_shatter, [
+        ("--m", {"type": int, "required": True}),
+        ("--budget", {"type": int, "default": 10**7,
+                      "help": "most subsets exact mode may enumerate"}),
+        ("--trials", {"type": int, "help": "use seeded sampling instead of exact mode"}),
+        _SEED,
+    ]),
+    "separation": (_cmd_separation, [("--deltas", {"type": _deltas_arg, "default": (1, 2, 3, 4)})]),
+    "verify": (_cmd_verify, [
+        ("--t", {"type": int, "required": True}),
+        ("--basis", {"type": _basis_arg, "default": ("all", 20), "help": "all | sample:<n>"}),
+        _SEED,
+    ]),
+    "minor": (_cmd_minor, [("--target", {"required": True})]),
+    "density": (_cmd_density, []),
+    "gen": (_cmd_gen, []),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,93 +274,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-field matroid analyses: girth, duality, set systems, minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("girth", "dual", "simplify", "shatter", "separation", "verify", "minor",
-                 "density", "gen"):
+    for name, (handler, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("instance", help="<path>.gfm | <path>.graph[@gf<q>] | gen:<id>")
-        p.add_argument("--field", help="q[:modulus-code]")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--field", type=_field_arg, help="q[:modulus-code]")
         p.add_argument("--out", help="write the report here instead of stdout")
-        if name == "girth":
-            p.add_argument("--cutoff", type=int)
-        if name == "shatter":
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--budget", type=int, default=10**7,
-                           help="most subsets exact mode may enumerate")
-            p.add_argument("--trials", type=int, help="use seeded sampling instead of exact mode")
-        if name == "verify":
-            p.add_argument("--t", type=int, required=True)
-            p.add_argument("--basis", default="all", help="all | sample:<n>")
-        if name == "minor":
-            p.add_argument("--target", required=True)
-        if name == "separation":
-            p.add_argument("--deltas", default="1,2,3,4")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, instance=args.instance)
-    if args.field:
-        cfg.field = _parse_field_flag(args.field)
-    cfg.seed = args.seed
-    cfg.out = args.out
-    cfg.cutoff = getattr(args, "cutoff", None)
-    cfg.m = getattr(args, "m", None)
-    cfg.trials = getattr(args, "trials", None)
-    cfg.budget = getattr(args, "budget", cfg.budget)
-    cfg.target = getattr(args, "target", None)
-    if hasattr(args, "t"):
-        cfg.t = args.t
-    if hasattr(args, "basis"):
-        cfg.basis_mode, cfg.samples = _parse_basis_flag(args.basis)
-        if cfg.basis_mode == "all":
-            cfg.samples = 20
-    if hasattr(args, "deltas"):
-        try:
-            cfg.deltas = tuple(int(x) for x in args.deltas.split(","))
-        except ValueError:
-            raise InputError(f"--deltas must be comma-separated ints, got {args.deltas!r}")
-    return cfg
+def _write(out: Optional[str], report) -> None:
+    text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
-_DISPATCH = {
-    "girth": _cmd_girth,
-    "dual": _cmd_dual,
-    "simplify": _cmd_simplify,
-    "shatter": _cmd_shatter,
-    "separation": _cmd_separation,
-    "verify": _cmd_verify,
-    "minor": _cmd_minor,
-    "density": _cmd_density,
-}
+def _error(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed RunConfig; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command line and write its report; returns the exit code."""
     try:
-        if config.command == "gen":
-            return _cmd_gen(config)
-        m = resolve_instance(config.instance, config.field)
-        return _DISPATCH[config.command](config, m)
-    except (InputError, GfmParseError, NotABasisError, TooLargeError, ValueError) as exc:
-        _emit_json(
-            config,
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-        )
-        return 2
+        code, report = args.handler(args)
+    except ValueError as exc:  # every input and library error of the package
+        code, report = 2, _error(exc)
+    _write(args.out, report)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        args = build_parser().parse_args(argv)
     except InputError as exc:
-        sys.stdout.write(
-            json.dumps({"error": {"type": "InputError", "message": str(exc)}}, indent=2) + "\n"
-        )
+        _write(None, _error(exc))
         return 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

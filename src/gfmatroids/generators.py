@@ -237,15 +237,20 @@ _PG_RE = re.compile(r"^pg_(\d+)_(\d+)$")
 _U_RE = re.compile(r"^u_(\d+)_(\d+)$")
 
 
+def split_field_suffix(source: str) -> tuple[str, Optional[FieldSpec]]:
+    """Split `<base>@gf<q>` into the base and GF(q); no suffix gives (source, None)."""
+    base, sep, suffix = source.partition("@gf")
+    if not sep:
+        return base, None
+    try:
+        return base, field_from_order(int(suffix))
+    except ValueError as exc:
+        raise ValueError(f"bad field suffix '@gf{suffix}' in {source!r}: {exc}") from None
+
+
 def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepMatroid:
     """Resolve a generator id like mk4, mk5_dual, pg_2_2, u_2_4@gf5, petersen@gf2."""
-    base, sep, suffix = instance_id.partition("@gf")
-    field = None
-    if sep:
-        try:
-            field = field_from_order(int(suffix))
-        except ValueError as exc:
-            raise ValueError(f"bad field suffix in {instance_id!r}: {exc}") from None
+    base, field = split_field_suffix(instance_id)
     field = field or default_field
 
     mk = _MK_RE.match(base)

@@ -237,8 +237,11 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None, max_exact: int = 24):
 
     Returns math.inf for a free matroid.  With a cutoff, returns None when
     every circuit is larger than the cutoff instead of exhausting; without
-    one, ground sets above `max_exact` elements are rejected.
+    one, ground sets above `max_exact` elements are rejected.  A cutoff
+    below 1 is an error: no circuit is that small.
     """
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"girth cutoff must be >= 1, got {cutoff}")
     n = m.size
     if cutoff is None and n > max_exact:
         raise TooLargeError(

@@ -19,6 +19,7 @@ from .gfmatrix import standard_form
 from .matroid import (
     NoCircuitError,
     RepMatroid,
+    TooLargeError,
     bases,
     circuit_of_dependent,
     cosimple_certificate,
@@ -27,7 +28,7 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import build_set_system, hamming_distance, sym_diff_size
+from .setsystem import build_set_system, hamming_distance, separation
 from . import generators
 
 
@@ -73,22 +74,16 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
     min_sym = min_sym_pair = pair_ham = min_ham = None
     if len(nonbasis) >= 2:
         system = build_set_system(sf)
-        best_sym: Optional[tuple[int, tuple[str, str]]] = None
-        best_hamming: Optional[tuple[int, tuple[str, str]]] = None
-        for e, f in combinations(sorted(nonbasis), 2):
-            sd = sym_diff_size(system, e, f)
-            hd = hamming_distance(system, e, f)
-            if best_sym is None or (sd, (e, f)) < best_sym:
-                best_sym = (sd, (e, f))
-            if best_hamming is None or (hd, (e, f)) < best_hamming:
-                best_hamming = (hd, (e, f))
-        min_sym, min_sym_pair = best_sym
-        min_ham = best_hamming[0]
-        pair_ham = hamming_distance(system, *min_sym_pair)
+        sep = separation(system)
+        min_sym, min_sym_pair, pair_ham = sep.sym_diff, sep.min_pair, sep.hamming
+        min_ham, ham_pair = min(
+            (hamming_distance(system, e, f), (e, f))
+            for e, f in combinations(sorted(nonbasis), 2)
+        )
         col = {lab: idx for idx, lab in enumerate(nonbasis)}
-        pairs_to_try = [best_sym[1]]
-        if best_hamming[1] != best_sym[1]:
-            pairs_to_try.append(best_hamming[1])
+        pairs_to_try = [min_sym_pair]
+        if ham_pair != min_sym_pair:
+            pairs_to_try.append(ham_pair)
         for e, f in pairs_to_try:
             je, jf = col[e], col[f]
             rows_differ = [
@@ -224,10 +219,11 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
             (f"mk{t}_dual", generators.clique(t, m.field, dualize=True)),
         ]
         for tid, target in targets:
-            if m.size > 16 or target.size > 10:
+            try:
+                witness = has_minor(m, target)
+            except TooLargeError:
                 findings.append(MinorFinding(tid, "skipped"))
                 continue
-            witness = has_minor(m, target)
             if witness is None:
                 findings.append(MinorFinding(tid, "absent"))
             else:

@@ -1,7 +1,10 @@
+import argparse
 import json
 
+import pytest
+
 from gfmatroids import matroid_from_gfm
-from gfmatroids.cli import main, resolve_instance
+from gfmatroids.cli import build_parser, main, resolve_instance
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +96,48 @@ def test_budget_only_on_shatter(capsys):
     code, rep = run_json(capsys, "shatter", "gen:petersen@gf2", "--m", "4", "--budget", "5")
     assert code == 2
     assert "budget" in rep["error"]["message"]
+
+
+def test_each_command_registers_only_its_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    extra = {
+        "girth": {"--cutoff"},
+        "dual": set(),
+        "simplify": set(),
+        "shatter": {"--m", "--budget", "--trials", "--seed"},
+        "separation": {"--deltas"},
+        "verify": {"--t", "--basis", "--seed"},
+        "minor": {"--target"},
+        "density": set(),
+        "gen": set(),
+    }
+    got = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: {"--field", "--out"} | opts for name, opts in extra.items()}
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["girth", "{tri}@gfx"], "@gfx"),
+    (["verify", "gen:mk4", "--t", "3", "--basis", "sample:x"], "--basis"),
+    (["separation", "gen:mk4", "--deltas", "1,x"], "--deltas"),
+    (["girth", "gen:mk4", "--field", "6"], "--field"),
+], ids=["graph-suffix", "basis", "deltas", "field"])
+def test_bad_flag_or_suffix_is_an_input_error(tmp_path, capsys, argv, names):
+    tri = tmp_path / "tri.graph"
+    tri.write_text("graph n=3 m=3\n0 1\n1 2\n0 2\n")
+    code, rep = run_json(capsys, *(a.replace("{tri}", str(tri)) for a in argv))
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert names in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_girth_cutoff_below_one_exit_2(capsys, cutoff):
+    code, rep = run_json(capsys, "girth", "gen:mk4", "--cutoff", cutoff)
+    assert code == 2
+    assert "cutoff" in rep["error"]["message"]
 
 
 def test_verify_bridge_rejected_with_certificate(tmp_path, capsys):

@@ -75,6 +75,12 @@ def test_girth_cutoff_and_guard():
     assert girth(wide, cutoff=2) == 1
 
 
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_girth_rejects_cutoff_below_one(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        girth(clique(4, F2), cutoff=cutoff)
+
+
 def test_dual_is_involution_on_rank_function():
     for i in range(12):
         m = random_matroid(min(2 + i % 4, 5), 6 + i % 5, field_from_order((2, 3, 4)[i % 3]), seed=300 + i)

@@ -11,6 +11,7 @@ from gfmatroids import (
     density_ratio,
     field_from_order,
     find_short_circuit,
+    from_id,
     graphic,
     is_circuit,
     named_graph,
@@ -132,6 +133,13 @@ def test_verify_dichotomy_sampled_mode():
     assert rep.bases_checked == 5
     assert rep.basis_mode == "sample:5"
     assert rep.nonbasis_count <= 2
+
+
+def test_verify_dichotomy_skips_minor_search_beyond_has_minor_limits():
+    heawood = from_id("heawood@gf2")
+    assert heawood.size == 21
+    rep = verify_dichotomy(heawood, 5)
+    assert [(f.target, f.status) for f in rep.minors] == [("mk5", "skipped"), ("mk5_dual", "skipped")]
 
 
 def test_density_ratio_goldens():
