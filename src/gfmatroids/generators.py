@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .gf import FieldSpec, field_from_order
 from .gfmatrix import GFMatrix
-from .matroid import RepMatroid
+from .matroid import RepMatroid, dual
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,7 @@ def clique(t: int, f: FieldSpec, dualize: bool = False) -> RepMatroid:
     if t < 2:
         raise ValueError(f"clique needs t >= 2, got {t}")
     m = graphic(complete_graph(t), f)
-    if dualize:
-        from .matroid import dual
-
-        return dual(m)
-    return m
+    return dual(m) if dualize else m
 
 
 def uniform(t: int, n: int, f: FieldSpec) -> RepMatroid:
@@ -203,26 +199,31 @@ def random_matroid(rank: int, elements: int, f: FieldSpec, seed: int,
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read the graph text format; blank lines are skipped, and every error
+    names the line it is on."""
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    head = lines[0].split()
+    at, head = lines[0]
     if head[0] != "graph":
-        raise ValueError(f"line 1: expected `graph` header, got {head[0]!r}")
-    fields = dict(tok.split("=") for tok in head[1:] if "=" in tok)
+        raise ValueError(f"line {at}: expected `graph` header, got {head[0]!r}")
+    fields = {k: v for k, _, v in (tok.partition("=") for tok in head[1:])}
     try:
         n = int(fields["n"])
         m = int(fields["m"])
     except (KeyError, ValueError):
-        raise ValueError("line 1: header needs integer n= and m=") from None
+        raise ValueError(f"line {at}: header needs integer n= and m=") from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {i}: expected `u v`")
-        edges.append((int(parts[0]), int(parts[1])))
+    for i, parts in lines[1:]:
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise ValueError(f"line {i}: expected integers `u v`, got {' '.join(parts)!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {i}: edge ({u},{v}) outside vertex range [0,{n})")
+        edges.append((u, v))
     return Graph(n, tuple(edges))
 
 
@@ -249,8 +250,15 @@ def split_field_suffix(source: str) -> tuple[str, Optional[FieldSpec]]:
 
 
 def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepMatroid:
-    """Resolve a generator id like mk4, mk5_dual, pg_2_2, u_2_4@gf5, petersen@gf2."""
+    """Resolve a generator id like mk4, mk5_dual, pg_2_2, u_2_4@gf5, petersen@gf2.
+
+    An `@gf<q>` suffix and `default_field` must agree when both are given.
+    """
     base, field = split_field_suffix(instance_id)
+    if field is not None and default_field is not None and field != default_field:
+        raise ValueError(
+            f"{instance_id!r}: suffix @gf{field.q} conflicts with field GF({default_field.q})"
+        )
     field = field or default_field
 
     mk = _MK_RE.match(base)
@@ -262,7 +270,7 @@ def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepM
         dim, q = int(pg.group(1)), int(pg.group(2))
         f = field_from_order(q)
         if field is not None and field.q != f.q:
-            raise ValueError(f"{instance_id!r}: field suffix conflicts with pg order {q}")
+            raise ValueError(f"{instance_id!r}: field GF({field.q}) conflicts with pg order {q}")
         return projective_geometry(dim + 1, f)
     um = _U_RE.match(base)
     if um:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 # Bundled monic irreducible moduli (Conway polynomials), as coefficient
 # tuples low degree -> high degree.  Keyed by (p, k).
 _BUNDLED_MODULI = {
@@ -137,7 +135,6 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "q", "modulus",
-        "add_np", "sub_np", "mul_np", "neg_np", "inv_np",
         "_add", "_sub", "_mul", "_neg", "_inv",
     )
 
@@ -180,11 +177,6 @@ class FieldSpec:
         da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
         return _code([(x + y) % self.p for x, y in zip(da, db)], self.p)
 
-    def _scalar_neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return _code([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
-
     def _scalar_mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -196,27 +188,13 @@ class FieldSpec:
         q = self.q
         add = [[self._scalar_add(a, b) for b in range(q)] for a in range(q)]
         mul = [[self._scalar_mul(a, b) for b in range(q)] for a in range(q)]
-        neg = [self._scalar_neg(a) for a in range(q)]
+        # a row of `add` holds 0 once, at the additive inverse; a nonzero row
+        # of `mul` holds 1 once, at the inverse, as the modulus is irreducible
+        neg = [row.index(0) for row in add]
+        inv = [0] + [mul[a].index(1) for a in range(1, q)]
         sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            found = 0
-            for b in range(1, q):
-                if row[b] == 1:
-                    found = b
-                    break
-            if not found:
-                # cannot happen for an irreducible modulus; defensive
-                raise ValueError(f"element {a} has no inverse in GF({q})")
-            inv[a] = found
         self._add, self._sub, self._mul = add, sub, mul
         self._neg, self._inv = neg, inv
-        self.add_np = np.array(add, dtype=np.uint8)
-        self.sub_np = np.array(sub, dtype=np.uint8)
-        self.mul_np = np.array(mul, dtype=np.uint8)
-        self.neg_np = np.array(neg, dtype=np.uint8)
-        self.inv_np = np.array(inv, dtype=np.uint8)
 
     # -- scalar operations ---------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Dense matrices over GF(q): row reduction, span tests, standard form.
 
 Entries are stored row-major in a read-only numpy uint8 array of element
-codes.  Row reduction picks the first nonzero entry scanning top-to-bottom,
-columns left-to-right, so every reduced form is reproducible.
+codes; numpy is only the storage.  One Gauss-Jordan routine, on lists of
+rows and the field's operation tables, serves every reduction: it pivots on
+the columns the caller names, in order, each on the first row not yet used
+that is nonzero there, so every reduced form is reproducible.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ class GFMatrix:
         return tuple(int(x) for x in self.data[:, j])
 
     def col_tuples(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.data.tolist()))
+
+    def row_tuples(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for row in self.data.tolist()]
 
     def transpose(self) -> "GFMatrix":
         return GFMatrix(self.field, self.data.T.copy())
@@ -98,40 +105,52 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _rref_array(field: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place reduced row echelon form; returns (array, pivot columns)."""
-    sub_t, mul_t, inv_t = field.sub_np, field.mul_np, field.inv_np
-    rows, cols = data.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+def _rows_matrix(field: FieldSpec, rows: list, ncols: int) -> GFMatrix:
+    """GFMatrix of a list of rows; no rows still gives `ncols` columns."""
+    return GFMatrix(field, rows) if rows else GFMatrix.zeros(field, 0, ncols)
+
+
+def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int, int]:
+    """Gauss-Jordan elimination on `rows`, pivoting on `cols` in the given order.
+
+    Each column takes as pivot the first row not yet used that is nonzero
+    there; that row is scaled so the pivot is 1 and the column is cleared
+    in every other row.  Changed rows are replaced by new lists and rows
+    keep their places.  Returns {column: pivot row} in pivot order; a
+    column without a pivot is spanned by the pivot columns before it.
+    """
+    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
+    free = list(range(len(rows)))  # rows without a pivot, in order
+    piv: dict[int, int] = {}
+    for c in cols:
+        if not free:
             break
-        pr = -1
-        for i in range(r, rows):
-            if data[i, c]:
-                pr = i
+        for k, r in enumerate(free):
+            if rows[r][c]:
                 break
-        if pr < 0:
+        else:
             continue
-        if pr != r:
-            data[[r, pr]] = data[[pr, r]]
-        pv = data[r, c]
-        if pv != 1:
-            data[r] = mul_t[inv_t[pv]][data[r]]
-        for i in range(rows):
-            if i != r and data[i, c]:
-                data[i] = sub_t[data[i], mul_t[data[i, c]][data[r]]]
-        pivots.append(c)
-        r += 1
-    return data, pivots
+        del free[k]
+        prow = rows[r]
+        if prow[c] != 1:
+            mrow = mul_t[inv_t[prow[c]]]
+            prow = rows[r] = [mrow[y] for y in prow]
+        for i, row in enumerate(rows):
+            e = row[c]
+            if e and i != r:
+                mrow = mul_t[e]
+                rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
+        piv[c] = r
+    return piv
 
 
 def rref(m: GFMatrix) -> RrefResult:
     """Reduced row echelon form.  Zero rows are retained in the output."""
-    work = m.data.copy()
-    work, pivots = _rref_array(m.field, work)
-    return RrefResult(GFMatrix(m.field, work), len(pivots), tuple(pivots))
+    rows = m.data.tolist()
+    piv = _gauss_jordan(m.field, rows, range(m.cols))
+    # every column was offered a pivot, so the rows without one are zero
+    out = [rows[r] for r in piv.values()] + [[0] * m.cols] * (m.rows - len(piv))
+    return RrefResult(_rows_matrix(m.field, out, m.cols), len(piv), tuple(piv))
 
 
 def rank(m: GFMatrix) -> int:
@@ -178,14 +197,14 @@ def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> S
     nonbasis_order = tuple(l for l in labels if l not in basis)
     index = {l: j for j, l in enumerate(labels)}
     perm = [index[l] for l in basis_order] + [index[l] for l in nonbasis_order]
-    work = m.data[:, perm].copy()
-    work, pivots = _rref_array(m.field, work)
-    # pivots span all columns, so len(pivots) is the full matrix rank; a
+    work = [[row[j] for j in perm] for row in m.data.tolist()]
+    piv = _gauss_jordan(m.field, work, range(m.cols))
+    # pivots span all columns, so len(piv) is the full matrix rank; a
     # basis must claim exactly those pivots within its own column block
     nb = len(basis_order)
-    if len(pivots) != nb or any(p >= nb for p in pivots):
+    if len(piv) != nb or any(p >= nb for p in piv):
         raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
-    a = GFMatrix(m.field, work[:nb, nb:].copy())
+    a = _rows_matrix(m.field, [work[r][nb:] for r in piv.values()], m.cols - nb)
     return StandardForm(m.field, basis_order, nonbasis_order, a)
 
 
@@ -197,17 +216,14 @@ def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tupl
     if len(v) != m.rows:
         raise ValueError(f"vector length {len(v)} != {m.rows} rows")
     cols = list(cols)
-    aug = np.zeros((m.rows, len(cols) + 1), dtype=np.uint8)
-    for j, c in enumerate(cols):
-        aug[:, j] = m.data[:, c]
-    for i, x in enumerate(v):
-        aug[i, -1] = m.field.check(int(x))
-    aug, pivots = _rref_array(m.field, aug)
-    if pivots and pivots[-1] == len(cols):
+    aug = [[row[c] for c in cols] + [m.field.check(int(x))]
+           for row, x in zip(m.data.tolist(), v)]
+    piv = _gauss_jordan(m.field, aug, range(len(cols) + 1))
+    if len(cols) in piv:
         return None
     coeffs = [0] * len(cols)
-    for row, pc in enumerate(pivots):
-        coeffs[pc] = int(aug[row, -1])
+    for c, r in piv.items():
+        coeffs[c] = aug[r][-1]
     return tuple(coeffs)
 
 

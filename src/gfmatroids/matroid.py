@@ -23,7 +23,9 @@ from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldSpec
-from .gfmatrix import GFMatrix, format_gfm, parse_gfm, rref, standard_form
+from .gfmatrix import (
+    GFMatrix, _gauss_jordan, _rows_matrix, format_gfm, parse_gfm, rref, standard_form,
+)
 
 
 class UnknownLabelError(ValueError):
@@ -349,8 +351,8 @@ def dual(m: RepMatroid) -> RepMatroid:
     nb = len(sf.nonbasis_order)
     neg = m.field.neg
     col_map: dict[str, tuple[int, ...]] = {}
-    for i, b in enumerate(sf.basis_order):
-        col_map[b] = tuple(neg(int(x)) for x in sf.a.data[i, :]) if nb else ()
+    for b, row in zip(sf.basis_order, sf.a.row_tuples()):
+        col_map[b] = tuple(neg(x) for x in row)
     for j, e in enumerate(sf.nonbasis_order):
         col_map[e] = tuple(1 if i == j else 0 for i in range(nb))
     cols = [col_map[l] for l in m.labels]
@@ -367,38 +369,15 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     overlap = delete & contract
     if overlap:
         raise ValueError(f"delete and contract overlap: {sorted(overlap)}")
-    field = m.field
-    work = m.matrix.data.copy()
-    sub_t, mul_t, inv_t = field.sub_np, field.mul_np, field.inv_np
-    used_rows: set[int] = set()
-    contracted_cols: set[int] = set()
-    to_delete = set(delete)
-    for lab in sorted(contract):
-        j = m._index[lab]
-        pr = -1
-        for i in range(work.shape[0]):
-            if i not in used_rows and work[i, j]:
-                pr = i
-                break
-        if pr < 0:
-            to_delete.add(lab)  # dependent on earlier contractions
-            continue
-        pv = work[pr, j]
-        if pv != 1:
-            work[pr] = mul_t[inv_t[pv]][work[pr]]
-        for i in range(work.shape[0]):
-            if i != pr and work[i, j]:
-                work[i] = sub_t[work[i], mul_t[work[i, j]][work[pr]]]
-        used_rows.add(pr)
-        contracted_cols.add(j)
-    keep_rows = [i for i in range(work.shape[0]) if i not in used_rows]
-    keep_cols = [
-        j for j, l in enumerate(m.labels)
-        if l not in to_delete and j not in contracted_cols
-    ]
-    new = work[keep_rows][:, keep_cols] if keep_cols else work[keep_rows][:, :0]
-    labels = tuple(m.labels[j] for j in keep_cols)
-    return RepMatroid(field, GFMatrix(field, new.copy()), labels)
+    rows = m.matrix.row_tuples()
+    piv = _gauss_jordan(m.field, rows, [m._index[l] for l in sorted(contract)])
+    # pivot rows leave with their contracted columns; a contract column
+    # without a pivot depends on earlier ones and is deleted
+    used = set(piv.values())
+    keep_cols = [j for j, l in enumerate(m.labels) if l not in delete and l not in contract]
+    new = [[row[j] for j in keep_cols] for i, row in enumerate(rows) if i not in used]
+    matrix = _rows_matrix(m.field, new, len(keep_cols))
+    return RepMatroid(m.field, matrix, tuple(m.labels[j] for j in keep_cols))
 
 
 def simplify(m: RepMatroid) -> RepMatroid:

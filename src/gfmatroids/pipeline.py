@@ -28,7 +28,13 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import build_set_system, hamming_distance, separation
+from .setsystem import (
+    build_set_system,
+    greedy_delta_packing,
+    hamming_distance,
+    separation,
+    sym_diff_size,
+)
 from . import generators
 
 
@@ -60,12 +66,12 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
     nonbasis = sf.nonbasis_order
     if not nonbasis:
         raise NoCircuitError("free matroid has no circuits")
-    a = sf.a.data
+    a_col = dict(zip(nonbasis, sf.a.col_tuples()))
     candidates: list[tuple[int, tuple[str, ...], frozenset[str], str]] = []
 
     best_fund = None
-    for j, e in sorted(enumerate(nonbasis), key=lambda p: p[1]):
-        support = [b for i, b in enumerate(sf.basis_order) if a[i, j]]
+    for e in sorted(nonbasis):
+        support = [b for b, x in zip(sf.basis_order, a_col[e]) if x]
         circ = frozenset(support) | {e}
         candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
         if best_fund is None or len(circ) < best_fund:
@@ -80,15 +86,11 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
             (hamming_distance(system, e, f), (e, f))
             for e, f in combinations(sorted(nonbasis), 2)
         )
-        col = {lab: idx for idx, lab in enumerate(nonbasis)}
         pairs_to_try = [min_sym_pair]
         if ham_pair != min_sym_pair:
             pairs_to_try.append(ham_pair)
         for e, f in pairs_to_try:
-            je, jf = col[e], col[f]
-            rows_differ = [
-                b for i, b in enumerate(sf.basis_order) if a[i, je] != a[i, jf]
-            ]
+            rows_differ = [b for b, x, y in zip(sf.basis_order, a_col[e], a_col[f]) if x != y]
             dependent = frozenset(rows_differ) | {e, f}
             circ = circuit_of_dependent(m, dependent)
             candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
@@ -254,14 +256,12 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
 def packing_ratios(system, deltas: Iterable[int]) -> list[dict]:
     """Measured |packing| * delta / |V| for each delta, with a post-hoc
     separation check; a trend artifact, no threshold is asserted."""
-    from .setsystem import greedy_delta_packing, sym_diff_size as _sd
-
     out = []
     v = len(system.ground)
     for delta in deltas:
         packing = greedy_delta_packing(system, delta)
         ok = all(
-            _sd(system, e, f) >= delta for e, f in combinations(packing, 2)
+            sym_diff_size(system, e, f) >= delta for e, f in combinations(packing, 2)
         )
         out.append(
             {

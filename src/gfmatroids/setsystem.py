@@ -71,11 +71,9 @@ class SetSystem:
 def build_set_system(sf: StandardForm) -> SetSystem:
     q = sf.field.q
     members = []
-    a = sf.a.data
-    for j, e in enumerate(sf.nonbasis_order):
+    for e, col in zip(sf.nonbasis_order, sf.a.col_tuples()):
         mask = 0
-        for i in range(len(sf.basis_order)):
-            v = int(a[i, j])
+        for i, v in enumerate(col):
             if v:
                 mask |= 1 << (i * (q - 1) + (v - 1))
         members.append((e, mask))
@@ -90,12 +88,8 @@ def canonical_system(m) -> tuple[StandardForm, SetSystem]:
     return sf, build_set_system(sf)
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def sym_diff_size(s: SetSystem, e: str, f: str) -> int:
-    return _popcount(s.mask_of(e) ^ s.mask_of(f))
+    return (s.mask_of(e) ^ s.mask_of(f)).bit_count()
 
 
 def hamming_distance(s: SetSystem, e: str, f: str) -> int:
@@ -204,7 +198,7 @@ def greedy_delta_packing(s: SetSystem, delta: int) -> list[str]:
     masks: list[int] = []
     for label in sorted(s.labels):
         mk = s.mask_of(label)
-        if all(_popcount(mk ^ other) >= delta for other in masks):
+        if all((mk ^ other).bit_count() >= delta for other in masks):
             survivors.append(label)
             masks.append(mk)
     return survivors
@@ -229,8 +223,7 @@ def claim_chain_check(s: SetSystem, sf: StandardForm, w: Iterable[GroundPair]) -
     s.ground_mask(w)  # validates
     b_w = tuple(b for b in sf.basis_order if any(p[0] == b for p in w))
     rows = [i for i, b in enumerate(sf.basis_order) if b in set(b_w)]
-    a = sf.a.data
-    restricted = {tuple(int(a[i, j]) for i in rows) for j in range(len(sf.nonbasis_order))}
+    restricted = {tuple(col[i] for i in rows) for col in sf.a.col_tuples()}
     field = sf.field
     classes = {field.normalize(col) for col in restricted} - {None}
     traces = trace_count(s, w)

@@ -81,6 +81,18 @@ def poly_mul_oracle(p: int, k: int, modulus, a: int, b: int) -> int:
     return code_of(prod[:k], p)
 
 
+
+def field_ops_oracle(p: int, k: int, modulus):
+    """(add, mul) on element codes of GF(p^k) from the schoolbook arithmetic
+    above, so brute-force checks share nothing with the library's tables."""
+    if k == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
+    return (
+        lambda a, b: poly_add_oracle(p, k, a, b),
+        lambda a, b: poly_mul_oracle(p, k, modulus, a, b),
+    )
+
+
 # -- graph oracles -----------------------------------------------------------------
 
 

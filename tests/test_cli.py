@@ -133,6 +133,37 @@ def test_bad_flag_or_suffix_is_an_input_error(tmp_path, capsys, argv, names):
     assert names in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, code, names, not_named", [
+    (["gen:mk4@gf3", "--field", "5"], 2, ["@gf3", "GF(5)"], []),
+    (["gen:mk4@gf3", "--field", "3"], 0, [], []),
+    (["gen:pg_2_3", "--field", "5"], 2, ["GF(5)", "order 3"], ["suffix"]),
+], ids=["suffix-conflict", "suffix-matches", "pg-order-conflict"])
+def test_gen_field_suffix_and_field_flag(capsys, argv, code, names, not_named):
+    got, rep = run_json(capsys, "girth", *argv)
+    assert got == code
+    if code == 0:
+        assert rep["field"].startswith("3,")
+        return
+    msg = rep["error"]["message"]
+    assert rep["error"]["type"] == "InputError"
+    assert all(n in msg for n in names)
+    assert not any(n in msg for n in not_named)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("graph n=3 m=2\n0 1\n1 x\n", "line 3"),
+    ("graph n=3 m=2\n\n0 1\n1 7\n", "line 4"),
+    ("graph n=3=4 m=1\n0 1\n", "line 1"),
+], ids=["non-integer", "vertex-out-of-range", "header-token"])
+def test_graph_file_errors_name_the_line(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code, rep = run_json(capsys, "girth", str(path))
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert line in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("cutoff", ["0", "-3"])
 def test_girth_cutoff_below_one_exit_2(capsys, cutoff):
     code, rep = run_json(capsys, "girth", "gen:mk4", "--cutoff", cutoff)

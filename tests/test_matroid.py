@@ -149,6 +149,41 @@ def test_minor_commutes_on_rank_functions():
         assert rank_table(a) == rank_table(b)
 
 
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_minor_rank_table_matches_contraction_oracle(q):
+    """rank of X in M \\ D / C is r(X + C) - r(C), for an empty, a
+    dependent and a spanning contract set, by brute-force rank."""
+    from oracles import brute_rank, field_ops_oracle
+
+    f = field_from_order(q)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    base = random_matroid(3, 5, f, seed=900 + q)
+    cols = base.matrix.col_tuples()
+    cols.append(tuple(add(x, y) for x, y in zip(cols[0], cols[1])))  # in span of 0 and 1
+    labels = ["f", "e", "d", "c", "b", "a"]  # sorted label order reverses columns
+    m = RepMatroid(f, GFMatrix.from_cols(f, cols, 3), labels)
+    col_of = dict(zip(labels, cols))
+    ranks: dict[frozenset, int] = {}
+
+    def r(s):
+        s = frozenset(s)
+        if s not in ranks:
+            ranks[s] = brute_rank(q, add, mul, [col_of[l] for l in sorted(s)])
+        return ranks[s]
+
+    spanning = set(bases(m)[0]) | {"a"}
+    cases = [((), ("c",)), (("f", "e", "a"), ("d",)), (spanning, ())]
+    for contract, delete in cases:
+        mm = minor(m, delete=delete, contract=contract)
+        assert set(mm.labels) == set(labels) - set(contract) - set(delete)
+        assert mm.matrix.cols == mm.size
+        table = rank_table(mm)
+        for mask in range(1 << mm.size):
+            x = {mm.labels[j] for j in range(mm.size) if mask >> j & 1}
+            assert table[mask] == r(x | set(contract)) - r(contract)
+
+
 def test_minor_rejects_overlap():
     mk4 = clique(4, F2)
     with pytest.raises(ValueError):
