@@ -84,9 +84,7 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
             raise InputError(f"cannot read {source}: {exc}") from None
         m = matroid_from_gfm(text)
         if field is not None and field != m.field:
-            raise InputError(
-                f"--field GF({field.q}) conflicts with file field GF({m.field.q})"
-            )
+            raise InputError(f"--field {field} conflicts with file field {m.field}")
         return m
     if ".graph" in source:
         try:
@@ -95,7 +93,7 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
             raise InputError(str(exc)) from None
         if f is not None and field is not None and f != field:
             raise InputError(
-                f"--field GF({field.q}) conflicts with instance suffix @gf{f.q}"
+                f"--field {field} conflicts with instance suffix @gf{f.q}, which is {f}"
             )
         f = f or field or field_from_order(2)
         try:

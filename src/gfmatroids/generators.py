@@ -257,7 +257,7 @@ def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepM
     base, field = split_field_suffix(instance_id)
     if field is not None and default_field is not None and field != default_field:
         raise ValueError(
-            f"{instance_id!r}: suffix @gf{field.q} conflicts with field GF({default_field.q})"
+            f"{instance_id!r}: suffix @gf{field.q} is {field}, which conflicts with field {default_field}"
         )
     field = field or default_field
 
@@ -270,7 +270,7 @@ def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepM
         dim, q = int(pg.group(1)), int(pg.group(2))
         f = field_from_order(q)
         if field is not None and field.q != f.q:
-            raise ValueError(f"{instance_id!r}: field GF({field.q}) conflicts with pg order {q}")
+            raise ValueError(f"{instance_id!r}: field {field} conflicts with pg order {q}")
         return projective_geometry(dim + 1, f)
     um = _U_RE.match(base)
     if um:

@@ -44,70 +44,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(p: int, a: Sequence[int], mod: Sequence[int]) -> list[int]:
-    # mod must be monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _all_monic_polys(p: int, degree: int):
-    for code in range(p**degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
-    """Trial division by every monic polynomial of degree <= k/2 over GF(p)."""
-    k = len(coeffs) - 1
-    if k < 1 or coeffs[-1] != 1:
-        return False
-    if k == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    for d in range(1, k // 2 + 1):
-        for cand in _all_monic_polys(p, d):
-            if not _poly_mod(p, coeffs, cand):
-                return False
-    return True
-
-
-def _digits(code: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
 def _code(digits: Sequence[int], p: int) -> int:
     out = 0
     for d in reversed(digits):
@@ -127,7 +63,8 @@ class FieldSpec:
     modulus : sequence of int, optional
         Coefficients of a monic irreducible degree-k polynomial over
         GF(p), low degree first.  Ignored for k = 1; for k > 1 it
-        defaults to the bundled table and is checked exhaustively.
+        defaults to the bundled table, and a reducible one is refused
+        with ValueError.
 
     Operation tables are precomputed; orders above MAX_ORDER = 256 are
     refused with ValueError.
@@ -161,8 +98,6 @@ class FieldSpec:
                 raise ValueError(
                     f"modulus must be monic of degree {k}, got {list(modulus)}"
                 )
-            if not is_irreducible(p, modulus):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
@@ -171,27 +106,37 @@ class FieldSpec:
 
     # -- construction helpers ------------------------------------------------
 
-    def _scalar_add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
-        return _code([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def _scalar_mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.p, _digits(a, self.p, self.k), _digits(b, self.p, self.k))
-        red = _poly_mod(self.p, prod, self.modulus)
-        return _code(red + [0] * (self.k - len(red)), self.p)
-
     def _build_tables(self) -> None:
-        q = self.q
-        add = [[self._scalar_add(a, b) for b in range(q)] for a in range(q)]
-        mul = [[self._scalar_mul(a, b) for b in range(q)] for a in range(q)]
-        # a row of `add` holds 0 once, at the additive inverse; a nonzero row
-        # of `mul` holds 1 once, at the inverse, as the modulus is irreducible
+        """Build each table row from rows already built: a code a stands for
+        a%p + x·(a//p), and a//p < a for a > 0.  The modulus is irreducible
+        exactly when every nonzero element has an inverse, i.e. every
+        nonzero row of `mul` holds 1."""
+        p, q = self.p, self.q
+        # add the low digits mod p; the other digits add as the code a//p
+        add = [list(range(q))]
+        for a in range(1, q):
+            low, high = a % p, add[a // p]
+            add.append([(low + b % p) % p + p * high[b // p] for b in range(q)])
+        # a constant c < p: c·b = (c-1)·b + b
+        mul = [[0] * q]
+        for c in range(1, p):
+            mul.append([add[u][b] for b, u in enumerate(mul[c - 1])])
+        # x·b shifts b up one digit; the digit t that falls off the top comes
+        # back as t·x^k = t·(-(modulus below its leading term))
+        top = q // p
+        wrap = _code([-m % p for m in self.modulus[:-1]], p)
+        times_x = [add[b * p % q][mul[b // top][wrap]] for b in range(q)]
+        # Horner's rule: a·b = (a%p)·b + x·((a//p)·b)
+        for a in range(p, q):
+            mul.append([add[u][times_x[v]] for u, v in zip(mul[a % p], mul[a // p])])
+        try:
+            inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        except ValueError:
+            raise ValueError(
+                f"modulus {list(self.modulus)} is reducible over GF({p})"
+            ) from None
+        # a row of `add` holds 0 once, at the additive inverse
         neg = [row.index(0) for row in add]
-        inv = [0] + [mul[a].index(1) for a in range(1, q)]
         sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
         self._add, self._sub, self._mul = add, sub, mul
         self._neg, self._inv = neg, inv
@@ -271,9 +216,11 @@ class FieldSpec:
         return hash((self.p, self.k, self.modulus))
 
     def __repr__(self) -> str:
+        """`GF(q)`, plus the modulus code for an extension field, so fields
+        of one order with different moduli read differently."""
         if self.k == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.k})"
+            return f"GF({self.q})"
+        return f"GF({self.q}) modulus={self.modulus_code()}"
 
 
 def field_new(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
@@ -303,6 +250,8 @@ def field_from_order(q: int, modulus_code: Optional[int] = None) -> FieldSpec:
         raise ValueError(f"{q} is not a prime power")
     modulus = None
     if modulus_code is not None:
+        if modulus_code < 0:
+            raise ValueError(f"modulus code must be >= 0, got {modulus_code}")
         digits = []
         c = modulus_code
         while c:

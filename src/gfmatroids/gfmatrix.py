@@ -253,6 +253,8 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
         ncols = int(fields["cols"])
     except (KeyError, ValueError) as exc:
         raise GfmParseError(f"line 1: header needs integer q=, rows=, cols= ({exc})") from None
+    if nrows < 0 or ncols < 0:
+        raise GfmParseError(f"line 1: rows= and cols= must be >= 0, got {nrows} and {ncols}")
     modulus_code = None
     if "modulus" in fields:
         try:
@@ -274,7 +276,7 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
             )
         at += 1
 
-    arr = np.zeros((nrows, ncols), dtype=np.uint8)
+    rows = []  # grows as rows are read: the header's sizes are not trusted
     for i in range(nrows):
         lineno = at + i + 1
         if at + i >= len(lines):
@@ -284,6 +286,7 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
             raise GfmParseError(
                 f"line {lineno}: expected {ncols} entries, got {len(toks)}"
             )
+        row = []
         for j, tok in enumerate(toks):
             try:
                 val = int(tok)
@@ -295,8 +298,9 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
                 raise GfmParseError(
                     f"line {lineno}, column {j + 1}: entry {val} out of range for GF({q})"
                 )
-            arr[i, j] = val
-    return field, GFMatrix(field, arr), labels
+            row.append(val)
+        rows.append(row)
+    return field, _rows_matrix(field, rows, ncols), labels
 
 
 def format_gfm(field: FieldSpec, m: GFMatrix, labels: Optional[Sequence[str]] = None) -> str:

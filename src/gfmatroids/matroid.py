@@ -380,18 +380,19 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     return RepMatroid(m.field, matrix, tuple(m.labels[j] for j in keep_cols))
 
 
+def _class_ids(m: RepMatroid) -> list[int]:
+    """Per column: 0 for a loop, else an id shared exactly by its parallel class."""
+    ids: dict = {None: 0}
+    return [ids.setdefault(m.field.normalize(c), len(ids)) for c in m._cols()]
+
+
 def simplify(m: RepMatroid) -> RepMatroid:
     """Drop loops; keep the lexicographically least label of each parallel class."""
-    cols = m._cols()
-    best: dict[tuple[int, ...], str] = {}
-    for lab, col in zip(m.labels, cols):
-        key = m.field.normalize(col)
-        if key is None:
-            continue
-        if key not in best or lab < best[key]:
-            best[key] = lab
-    keep = set(best.values())
-    idx = [j for j, l in enumerate(m.labels) if l in keep]
+    best: dict[int, int] = {}
+    for j, cid in enumerate(_class_ids(m)):
+        if cid and (cid not in best or m.labels[j] < m.labels[best[cid]]):
+            best[cid] = j
+    idx = sorted(best.values())
     return RepMatroid(
         m.field,
         m.matrix.take_cols(idx),
@@ -406,18 +407,14 @@ def cosimple_certificate(m: RepMatroid) -> Optional[tuple[str, tuple[str, ...]]]
     are never cosimple (every element is a coloop).
     """
     d = dual(m)
-    cols = d._cols()
-    for lab, col in zip(d.labels, cols):
-        if not any(col):
-            return ("coloop", (lab,))
-    seen: dict[tuple[int, ...], str] = {}
-    for lab, col in zip(d.labels, cols):
-        key = d.field.normalize(col)
-        if key is None:
-            continue
-        if key in seen:
-            return ("series_pair", (seen[key], lab))
-        seen[key] = lab
+    ids = _class_ids(d)  # loops of the dual are coloops, its parallel classes series classes
+    if 0 in ids:
+        return ("coloop", (d.labels[ids.index(0)],))
+    first: dict[int, str] = {}
+    for lab, cid in zip(d.labels, ids):
+        if cid in first:
+            return ("series_pair", (first[cid], lab))
+        first[cid] = lab
     return None
 
 
@@ -543,12 +540,6 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid, max_size: int = 12) -> bool:
 
 
 # -- minor containment -------------------------------------------------------------
-
-
-def _class_ids(m: RepMatroid) -> list[int]:
-    """Per column: 0 for a loop, else an id shared exactly by its parallel class."""
-    ids: dict = {None: 0}
-    return [ids.setdefault(m.field.normalize(c), len(ids)) for c in m._cols()]
 
 
 def _class_screen(ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:

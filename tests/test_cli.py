@@ -257,6 +257,43 @@ def test_field_conflict_exit_2(tmp_path, capsys):
     assert "conflict" in rep["error"]["message"]
 
 
+# GF(8) has two irreducible moduli: x^3+x+1 (code 11, bundled) and x^3+x^2+1 (code 13)
+@pytest.mark.parametrize("argv", [
+    ["gen:mk4@gf8", "--field", "8:13"],
+    ["{dir}/m.gfm", "--field", "8"],
+    ["{dir}/tri.graph@gf8", "--field", "8:13"],
+], ids=["gen", "gfm", "graph"])
+def test_field_conflict_of_equal_orders_names_both_moduli(tmp_path, capsys, argv):
+    (tmp_path / "m.gfm").write_text("gfm q=8 rows=1 cols=2 modulus=13\n1 2\n")
+    (tmp_path / "tri.graph").write_text("graph n=3 m=3\n0 1\n1 2\n0 2\n")
+    code, rep = run_json(capsys, "girth", *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert code == 2
+    msg = rep["error"]["message"]
+    assert "conflicts" in msg
+    assert "GF(8) modulus=11" in msg and "GF(8) modulus=13" in msg
+
+
+@pytest.mark.parametrize("header, names", [
+    ("gfm q=2 rows=100000000 cols=100000000", "line 2"),
+    ("gfm q=2 rows=-1 cols=1", "line 1"),
+    ("gfm q=4 rows=1 cols=1 modulus=-1", "line 1"),
+], ids=["huge", "negative-rows", "negative-modulus"])
+def test_gfm_header_is_checked_before_use(tmp_path, capsys, header, names):
+    p = tmp_path / "h.gfm"
+    p.write_text(header + "\n0\n")
+    code, rep = run_json(capsys, "girth", str(p))
+    assert code == 2
+    assert rep["error"]["type"] == "GfmParseError"
+    assert names in rep["error"]["message"]
+
+
+def test_negative_field_modulus_code_is_a_usage_error(capsys):
+    code, rep = run_json(capsys, "girth", "gen:mk4", "--field", "4:-1")
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert ">= 0" in rep["error"]["message"]
+
+
 def test_resolve_instance_graph_suffix(tmp_path):
     p = tmp_path / "tri.graph"
     p.write_text("graph n=3 m=3\n0 1\n1 2\n0 2\n")

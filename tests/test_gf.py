@@ -1,10 +1,12 @@
 import itertools
+import random
+import re
 
 import pytest
 import sympy
 
-from gfmatroids import field_from_order, field_new
-from gfmatroids.gf import _BUNDLED_MODULI, is_irreducible
+from gfmatroids import FieldSpec, field_from_order, field_new
+from gfmatroids.gf import _BUNDLED_MODULI
 
 from oracles import poly_add_oracle, poly_mul_oracle
 
@@ -47,13 +49,46 @@ def test_explicit_modulus_accepted():
     assert f.mul(f.inv(3), 3) == 1
 
 
+def _sympy_irreducible(p, mod):
+    return sympy.Poly(list(reversed(mod)), sympy.Symbol("x"), modulus=p).is_irreducible
+
+
 @pytest.mark.parametrize("pk,mod", sorted(_BUNDLED_MODULI.items()))
 def test_bundled_moduli_irreducible_by_sympy(pk, mod):
-    p, _ = pk
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(mod)), x, modulus=p)
-    assert poly.is_irreducible
-    assert is_irreducible(p, mod)
+    p, k = pk
+    assert _sympy_irreducible(p, mod)
+    assert FieldSpec(p, k, mod).modulus == mod
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (2, 3)])
+def test_modulus_accepted_exactly_when_sympy_says_irreducible(p, k):
+    for low in itertools.product(range(p), repeat=k):
+        mod = low + (1,)
+        if _sympy_irreducible(p, mod):
+            assert FieldSpec(p, k, mod).q == p**k
+        else:
+            message = f"modulus {list(mod)} is reducible over GF({p})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                FieldSpec(p, k, mod)
+
+
+# explicit moduli, irreducible by sympy: x^7+x+1, x^8+x^4+x^3+x^2+1, x^5+2x+1
+LARGE_FIELDS = [
+    (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+    (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+    (3, 5, (1, 2, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p,k,mod", LARGE_FIELDS)
+def test_large_field_tables_match_schoolbook_oracle(p, k, mod):
+    assert _sympy_irreducible(p, mod)
+    f = FieldSpec(p, k, mod)
+    rng = random.Random(p * 1000 + k)
+    for _ in range(3000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.add(a, b) == poly_add_oracle(p, k, a, b)
+        assert f.mul(a, b) == poly_mul_oracle(p, k, mod, a, b)
 
 
 def test_add_examples():
