@@ -5,7 +5,7 @@ search, the basis-indexed set system with its shatter and separation
 analyses, and the short-circuit dichotomy harness.
 """
 
-from .gf import FieldSpec, field_from_order, field_new
+from .gf import FieldSpec, field_from_order
 from .gfmatrix import (
     GFMatrix,
     GfmParseError,

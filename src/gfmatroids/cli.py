@@ -88,14 +88,9 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
         return m
     if ".graph" in source:
         try:
-            path, f = generators.split_field_suffix(source)
+            path, f = generators.split_field_suffix(source, field)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        if f is not None and field is not None and f != field:
-            raise InputError(
-                f"--field {field} conflicts with instance suffix @gf{f.q}, which is {f}"
-            )
-        f = f or field or field_from_order(2)
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -104,7 +99,7 @@ def resolve_instance(source: str, field: Optional[FieldSpec] = None) -> RepMatro
             g = generators.parse_graph(text)
         except ValueError as exc:
             raise InputError(f"{path}: {exc}") from None
-        return generators.graphic(g, f)
+        return generators.graphic(g, f or field_from_order(2))
     raise InputError(
         f"unrecognized instance {source!r}; expected <path>.gfm, <path>.graph[@gf<q>], or gen:<id>"
     )
@@ -157,17 +152,15 @@ def _set_system_header(args: argparse.Namespace) -> tuple[SetSystem, dict]:
 
 def _cmd_shatter(args: argparse.Namespace) -> tuple[int, dict]:
     system, rep = _set_system_header(args)
-    mode = "sampled" if args.trials else "exact"
-    res = shatter(system, args.m, mode=mode, trials=args.trials or 1000,
-                  seed=args.seed, budget=args.budget)
+    res = shatter(system, args.m, trials=args.trials or None, seed=args.seed, budget=args.budget)
     rep.update({
         "m": res.m,
-        "mode": mode,
+        "mode": "exact" if res.exact else "sampled",
         "value": res.value,
         "exact": res.exact,
         "subsets_checked": res.subsets_checked,
     })
-    if mode == "sampled":
+    if not res.exact:
         rep["seed"] = args.seed
     return 0, rep
 
@@ -228,7 +221,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
     if not (args.out and args.out.endswith(".graph")):
         return 0, matroid_to_gfm(resolve_instance("gen:" + gen_id, args.field))
     try:
-        base, _ = generators.split_field_suffix(gen_id)
+        base, _ = generators.split_field_suffix(gen_id, args.field)
         return 0, generators.format_graph(generators.named_graph(base))
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import FieldSpec, field_from_order
-from .gfmatrix import GFMatrix
+from .gfmatrix import GFMatrix, _header_fields
 from .matroid import RepMatroid, dual
 
 
@@ -44,21 +44,24 @@ def _edge_labels(edges: Sequence[tuple[int, int]]) -> list[str]:
 def graphic(g: Graph, f: FieldSpec, labels: Optional[Sequence[str]] = None) -> RepMatroid:
     """Signed incidence matrix: edge (u,v) with u < v gets +1 at u and -1 at v.
 
-    Over GF(2) the signs collapse; loops become zero columns.  Edge labels
-    default to "u-v" (with "#k" suffixes for parallel copies).
+    Rows are the vertices with a non-loop edge, in vertex order; any other
+    vertex would give a zero row, so the matrix size follows the edges, not
+    g.n.  Over GF(2) the signs collapse; loops become zero columns.  Edge
+    labels default to "u-v" (with "#k" suffixes for parallel copies).
     """
     if labels is None:
         labels = _edge_labels(g.edges)
+    touched = sorted({x for u, v in g.edges if u != v for x in (u, v)})
+    row_of = {x: i for i, x in enumerate(touched)}
     cols = []
     neg_one = f.neg(1)
     for u, v in g.edges:
-        col = [0] * g.n
+        col = [0] * len(row_of)
         if u != v:
-            a, b = min(u, v), max(u, v)
-            col[a] = 1
-            col[b] = neg_one
+            col[row_of[min(u, v)]] = 1
+            col[row_of[max(u, v)]] = neg_one
         cols.append(tuple(col))
-    return RepMatroid(f, GFMatrix.from_cols(f, cols, g.n), labels)
+    return RepMatroid(f, GFMatrix.from_cols(f, cols, len(row_of)), labels)
 
 
 def complete_graph(t: int) -> Graph:
@@ -178,20 +181,20 @@ def named_graph_info(graph_id: str) -> tuple[int, int]:
     return g, c
 
 
-def random_matroid(rank: int, elements: int, f: FieldSpec, seed: int,
-                   max_retries: int = 64) -> RepMatroid:
-    """Seeded uniform random matrix, redrawn until it has the requested rank."""
+def random_matroid(rank: int, elements: int, f: FieldSpec, seed: int) -> RepMatroid:
+    """Seeded uniform random matrix, redrawn up to 64 times until it has the
+    requested rank."""
     if rank > elements:
         raise ValueError(f"rank {rank} exceeds element count {elements}")
     rng = random.Random(seed)
     labels = [f"e{j}" for j in range(elements)]
-    for _ in range(max_retries):
+    for _ in range(64):
         rows = [[rng.randrange(f.q) for _ in range(elements)] for _ in range(rank)]
         m = RepMatroid(f, GFMatrix(f, rows) if rank else GFMatrix.zeros(f, 0, elements), labels)
         if m.rank == rank:
             return m
     raise ValueError(
-        f"no rank-{rank} matrix over GF({f.q}) with {elements} columns after {max_retries} draws"
+        f"no rank-{rank} matrix over GF({f.q}) with {elements} columns after 64 draws"
     )
 
 
@@ -207,7 +210,7 @@ def parse_graph(text: str) -> Graph:
     at, head = lines[0]
     if head[0] != "graph":
         raise ValueError(f"line {at}: expected `graph` header, got {head[0]!r}")
-    fields = {k: v for k, _, v in (tok.partition("=") for tok in head[1:])}
+    fields = _header_fields(head[1:], at, ValueError)
     try:
         n = int(fields["n"])
         m = int(fields["m"])
@@ -238,28 +241,30 @@ _PG_RE = re.compile(r"^pg_(\d+)_(\d+)$")
 _U_RE = re.compile(r"^u_(\d+)_(\d+)$")
 
 
-def split_field_suffix(source: str) -> tuple[str, Optional[FieldSpec]]:
-    """Split `<base>@gf<q>` into the base and GF(q); no suffix gives (source, None)."""
+def split_field_suffix(source: str, field: Optional[FieldSpec]) -> tuple[str, Optional[FieldSpec]]:
+    """Split `<base>@gf<q>` into the base and GF(q), or `field` when there is
+    no suffix; a suffix and `field` must agree when both are given."""
     base, sep, suffix = source.partition("@gf")
     if not sep:
-        return base, None
+        return base, field
     try:
-        return base, field_from_order(int(suffix))
+        named = field_from_order(int(suffix))
     except ValueError as exc:
         raise ValueError(f"bad field suffix '@gf{suffix}' in {source!r}: {exc}") from None
+    if field is not None and named != field:
+        raise ValueError(
+            f"{source!r}: suffix @gf{named.q} is {named}, which conflicts with field {field}"
+        )
+    return base, named
 
 
 def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepMatroid:
     """Resolve a generator id like mk4, mk5_dual, pg_2_2, u_2_4@gf5, petersen@gf2.
 
-    An `@gf<q>` suffix and `default_field` must agree when both are given.
+    An `@gf<q>` suffix and `default_field` must agree when both are given;
+    `pg_<d>_<q>` is built over that field when its order is q.
     """
-    base, field = split_field_suffix(instance_id)
-    if field is not None and default_field is not None and field != default_field:
-        raise ValueError(
-            f"{instance_id!r}: suffix @gf{field.q} is {field}, which conflicts with field {default_field}"
-        )
-    field = field or default_field
+    base, field = split_field_suffix(instance_id, default_field)
 
     mk = _MK_RE.match(base)
     if mk:
@@ -268,10 +273,9 @@ def from_id(instance_id: str, default_field: Optional[FieldSpec] = None) -> RepM
     pg = _PG_RE.match(base)
     if pg:
         dim, q = int(pg.group(1)), int(pg.group(2))
-        f = field_from_order(q)
-        if field is not None and field.q != f.q:
+        if field is not None and field.q != q:
             raise ValueError(f"{instance_id!r}: field {field} conflicts with pg order {q}")
-        return projective_geometry(dim + 1, f)
+        return projective_geometry(dim + 1, field or field_from_order(q))
     um = _U_RE.match(base)
     if um:
         if field is None:

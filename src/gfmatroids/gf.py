@@ -58,7 +58,7 @@ class FieldSpec:
     ----------
     p : int
         Prime characteristic.
-    k : int
+    k : int, default 1
         Extension degree (the field has p^k elements).
     modulus : sequence of int, optional
         Coefficients of a monic irreducible degree-k polynomial over
@@ -75,7 +75,7 @@ class FieldSpec:
         "_add", "_sub", "_mul", "_neg", "_inv",
     )
 
-    def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
@@ -221,15 +221,6 @@ class FieldSpec:
         if self.k == 1:
             return f"GF({self.q})"
         return f"GF({self.q}) modulus={self.modulus_code()}"
-
-
-def field_new(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """Construct a validated FieldSpec.
-
-    Without an explicit modulus, k > 1 requires (p, k) to be in the bundled
-    table {GF(4), GF(8), GF(9), GF(16), GF(25), GF(27)}.
-    """
-    return FieldSpec(p, k, modulus)
 
 
 def field_from_order(q: int, modulus_code: Optional[int] = None) -> FieldSpec:

@@ -234,6 +234,20 @@ def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tupl
 # then r lines of c integers in [0, q)
 
 
+def _header_fields(tokens: list[str], line: int, error: type[ValueError]) -> dict[str, str]:
+    """The `key=value` tokens of a header line; a token without `=` or a
+    repeated key raises `error` naming the line."""
+    fields: dict[str, str] = {}
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise error(f"line {line}: malformed header token {tok!r}")
+        if key in fields:
+            raise error(f"line {line}: repeated header key {key!r}")
+        fields[key] = val
+    return fields
+
+
 def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]]:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -241,12 +255,7 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
     head = lines[0].split()
     if head[0] != "gfm":
         raise GfmParseError(f"line 1: expected `gfm` header, got {head[0]!r}")
-    fields = {}
-    for tok in head[1:]:
-        if "=" not in tok:
-            raise GfmParseError(f"line 1: malformed header token {tok!r}")
-        k, _, val = tok.partition("=")
-        fields[k] = val
+    fields = _header_fields(head[1:], 1, GfmParseError)
     try:
         q = int(fields["q"])
         nrows = int(fields["rows"])

@@ -36,6 +36,13 @@ class TooLargeError(ValueError):
     """Instance exceeds the exact-search guard for this operation."""
 
 
+# Exact-search size limits, in elements: each guard raises TooLargeError above its limit.
+GIRTH_LIMIT = 24  # girth without a cutoff
+ENUMERATION_LIMIT = 16  # rank_table, bases, and the ground set of has_minor
+ISOMORPHISM_LIMIT = 12
+MINOR_TARGET_LIMIT = 10
+
+
 class NoCircuitError(ValueError):
     """Requested a circuit where none exists."""
 
@@ -234,20 +241,20 @@ def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[i
     return None
 
 
-def girth(m: RepMatroid, cutoff: Optional[int] = None, max_exact: int = 24):
+def girth(m: RepMatroid, cutoff: Optional[int] = None):
     """Exact minimum circuit size.
 
     Returns math.inf for a free matroid.  With a cutoff, returns None when
     every circuit is larger than the cutoff instead of exhausting; without
-    one, ground sets above `max_exact` elements are rejected.  A cutoff
+    one, ground sets above GIRTH_LIMIT elements are rejected.  A cutoff
     below 1 is an error: no circuit is that small.
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"girth cutoff must be >= 1, got {cutoff}")
     n = m.size
-    if cutoff is None and n > max_exact:
+    if cutoff is None and n > GIRTH_LIMIT:
         raise TooLargeError(
-            f"exact girth limited to {max_exact} elements (|E| = {n}); pass a cutoff"
+            f"exact girth limited to {GIRTH_LIMIT} elements (|E| = {n}); pass a cutoff"
         )
     if m.rank == n:
         return math.inf
@@ -258,11 +265,11 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None, max_exact: int = 24):
 # -- exhaustive rank tables and bases --------------------------------------------
 
 
-def rank_table(m: RepMatroid, max_size: int = 16) -> list[int]:
+def rank_table(m: RepMatroid) -> list[int]:
     """Rank of every subset, indexed by bitmask over label positions."""
     n = m.size
-    if n > max_size:
-        raise TooLargeError(f"rank_table limited to {max_size} elements (|E| = {n})")
+    if n > ENUMERATION_LIMIT:
+        raise TooLargeError(f"rank_table limited to {ENUMERATION_LIMIT} elements (|E| = {n})")
     table = [0] * (1 << n)
     cols, push = m._packed(), m._kernel.push
     piv: dict = {}
@@ -306,10 +313,12 @@ def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
     return out
 
 
-def bases(m: RepMatroid, max_size: int = 16) -> list[tuple[str, ...]]:
+def bases(m: RepMatroid) -> list[tuple[str, ...]]:
     """All bases, in lexicographic column-index order."""
-    if m.size > max_size:
-        raise TooLargeError(f"basis enumeration limited to {max_size} elements (|E| = {m.size})")
+    if m.size > ENUMERATION_LIMIT:
+        raise TooLargeError(
+            f"basis enumeration limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})"
+        )
     return _independent_subsets(m, m.rank)
 
 
@@ -528,12 +537,12 @@ def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
     return rec(0, [(0, 0)])
 
 
-def is_isomorphic(a: RepMatroid, b: RepMatroid, max_size: int = 12) -> bool:
+def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
     """Rank-function-preserving label bijection, by pruned backtracking."""
     if a.size != b.size or a.rank != b.rank:
         return False
-    if a.size > max_size:
-        raise TooLargeError(f"isomorphism limited to {max_size} elements (|E| = {a.size})")
+    if a.size > ISOMORPHISM_LIMIT:
+        raise TooLargeError(f"isomorphism limited to {ISOMORPHISM_LIMIT} elements (|E| = {a.size})")
     return _match_profiles(
         _Profile(a._kernel, a._packed()), _Profile(b._kernel, b._packed())
     )
@@ -549,19 +558,18 @@ def _class_screen(ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return loops, tuple(sorted(counts.values()))
 
 
-def has_minor(m: RepMatroid, target: RepMatroid, max_size: int = 16,
-              max_target: int = 10) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """Exhaustive minor search; returns (delete, contract) labels or None.
 
     Only independent contract sets of size rank(m) - rank(target) are
     enumerated (every minor admits such a presentation); candidates are
     screened by cheap invariants before the full isomorphism test.
     """
-    if m.size > max_size:
-        raise TooLargeError(f"minor search limited to {max_size} elements (|E| = {m.size})")
-    if target.size > max_target:
+    if m.size > ENUMERATION_LIMIT:
+        raise TooLargeError(f"minor search limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})")
+    if target.size > MINOR_TARGET_LIMIT:
         raise TooLargeError(
-            f"minor search limited to {max_target}-element targets (|E| = {target.size})"
+            f"minor search limited to {MINOR_TARGET_LIMIT}-element targets (|E| = {target.size})"
         )
     r_diff = m.rank - target.rank
     d_count = m.size - r_diff - target.size

@@ -118,51 +118,45 @@ class ShatterResult:
     subsets_checked: int
 
 
-def shatter(s: SetSystem, m: int, mode: str = "exact", trials: int = 1000,
-            seed: int = 0, budget: int = 10**7) -> ShatterResult:
+def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0,
+            budget: int = 10**7) -> ShatterResult:
     """Maximum trace count over m-element ground subsets.
 
-    Exact mode enumerates all C(|V|, m) subsets under the budget; sampled
-    mode reports a lower bound from seeded random subsets.
+    Without `trials`, all C(|V|, m) subsets are enumerated under the budget
+    and the value is exact; with it, that many seeded random subsets give a
+    lower bound.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     g = len(s.ground)
     m = min(m, g)
     masks = [mask for _, mask in s.members]
     distinct_total = len(set(masks))
     ceiling = min(2**m if m < 60 else distinct_total, max(distinct_total, 1))
-    if mode == "exact":
+    exact = trials is None
+    if exact:
         n_subsets = math.comb(g, m)
         if n_subsets > budget:
             raise ValueError(
                 f"exact shatter needs {n_subsets} subsets, over the budget {budget}"
             )
-        best = 0
-        checked = 0
-        for combo in combinations(range(g), m):
-            wmask = 0
-            for i in combo:
-                wmask |= 1 << i
-            checked += 1
-            val = len({mk & wmask for mk in masks})
-            if val > best:
-                best = val
-                if best >= ceiling:
-                    break
-        return ShatterResult(best, True, m, checked)
-    if mode == "sampled":
+        subsets = combinations(range(g), m)
+    else:
         rng = random.Random(seed)
-        best = 0
-        for _ in range(trials):
-            combo = rng.sample(range(g), m)
-            wmask = 0
-            for i in combo:
-                wmask |= 1 << i
-            val = len({mk & wmask for mk in masks})
-            best = max(best, val)
-        return ShatterResult(best, False, m, trials)
-    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+        subsets = (rng.sample(range(g), m) for _ in range(trials))
+    best = 0
+    checked = 0
+    for combo in subsets:
+        wmask = sum(1 << i for i in combo)
+        checked += 1
+        val = len({mk & wmask for mk in masks})
+        if val > best:
+            best = val
+            if exact and best >= ceiling:
+                break
+    return ShatterResult(best, exact, m, checked)
 
 
 @dataclass(frozen=True)

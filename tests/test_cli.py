@@ -150,11 +150,29 @@ def test_gen_field_suffix_and_field_flag(capsys, argv, code, names, not_named):
     assert not any(n in msg for n in not_named)
 
 
+def test_gen_graph_out_checks_the_field_suffix(tmp_path):
+    out = tmp_path / "p.graph"
+    assert main(["gen", "petersen@gf3", "--field", "5", "--out", str(out)]) == 2
+    msg = json.loads(out.read_text())["error"]["message"]
+    assert "@gf3" in msg and "GF(5)" in msg
+    assert main(["gen", "petersen@gf3", "--field", "3", "--out", str(out)]) == 0
+    assert out.read_text().startswith("graph n=10 m=15")
+
+
+def test_pg_is_built_over_the_requested_field(capsys):
+    # GF(9) with modulus x^2+1 (code 10), not the bundled x^2+2x+2 (code 17)
+    code, rep = run_json(capsys, "girth", "gen:pg_1_9", "--field", "9:10")
+    assert code == 0
+    assert rep["field"] == "3,2,10"
+
+
 @pytest.mark.parametrize("text, line", [
     ("graph n=3 m=2\n0 1\n1 x\n", "line 3"),
     ("graph n=3 m=2\n\n0 1\n1 7\n", "line 4"),
     ("graph n=3=4 m=1\n0 1\n", "line 1"),
-], ids=["non-integer", "vertex-out-of-range", "header-token"])
+    ("graph n=3 m=1 junk\n0 1\n", "line 1: malformed header token 'junk'"),
+    ("\ngraph n=3 m=1 n=7\n0 1\n", "line 2: repeated header key 'n'"),
+], ids=["non-integer", "vertex-out-of-range", "header-token", "header-junk", "header-repeated-key"])
 def test_graph_file_errors_name_the_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.graph"
     path.write_text(text)
@@ -277,7 +295,8 @@ def test_field_conflict_of_equal_orders_names_both_moduli(tmp_path, capsys, argv
     ("gfm q=2 rows=100000000 cols=100000000", "line 2"),
     ("gfm q=2 rows=-1 cols=1", "line 1"),
     ("gfm q=4 rows=1 cols=1 modulus=-1", "line 1"),
-], ids=["huge", "negative-rows", "negative-modulus"])
+    ("gfm q=2 rows=1 cols=1 rows=2", "line 1: repeated header key 'rows'"),
+], ids=["huge", "negative-rows", "negative-modulus", "repeated-key"])
 def test_gfm_header_is_checked_before_use(tmp_path, capsys, header, names):
     p = tmp_path / "h.gfm"
     p.write_text(header + "\n0\n")

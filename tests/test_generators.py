@@ -187,6 +187,13 @@ def test_random_matroid_reaches_requested_rank():
         assert m.rank == 3
 
 
+def test_graphic_rows_follow_the_edges_not_the_vertex_count():
+    m = graphic(Graph(10**6, ((0, 1),)), F2)
+    assert m.matrix.rows == 2
+    assert m.rank == 1
+    assert girth(m) == math.inf
+
+
 def test_graph_text_roundtrip():
     g = named_graph("cube")
     back = parse_graph(format_graph(g))

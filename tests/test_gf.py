@@ -5,7 +5,7 @@ import re
 import pytest
 import sympy
 
-from gfmatroids import FieldSpec, field_from_order, field_new
+from gfmatroids import FieldSpec, field_from_order
 from gfmatroids.gf import _BUNDLED_MODULI
 
 from oracles import poly_add_oracle, poly_mul_oracle
@@ -14,12 +14,12 @@ AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
 
 def test_prime_field_construction():
-    f = field_new(2, 1)
+    f = FieldSpec(2, 1)
     assert (f.p, f.k, f.q) == (2, 1, 2)
 
 
 def test_default_gf4_modulus_is_irreducible():
-    f = field_new(2, 2)
+    f = FieldSpec(2, 2)
     assert f.modulus == (1, 1, 1)  # x^2 + x + 1
     # degree 2, so irreducible iff no root in GF(2)
     for x in (0, 1):
@@ -28,23 +28,23 @@ def test_default_gf4_modulus_is_irreducible():
 
 def test_nonprime_characteristic_rejected():
     with pytest.raises(ValueError):
-        field_new(4, 1)
+        FieldSpec(4, 1)
 
 
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError, match="reducible"):
-        field_new(2, 2, modulus=(1, 0, 1))
+        FieldSpec(2, 2, modulus=(1, 0, 1))
 
 
 def test_unsupported_extension_without_modulus_rejected():
     with pytest.raises(ValueError, match="bundled"):
-        field_new(7, 2)
+        FieldSpec(7, 2)
 
 
 def test_explicit_modulus_accepted():
     # x^2 + 1 is irreducible over GF(7): -1 is not a square mod 7
-    f = field_new(7, 2, modulus=(1, 0, 1))
+    f = FieldSpec(7, 2, modulus=(1, 0, 1))
     assert f.q == 49
     assert f.mul(f.inv(3), 3) == 1
 
@@ -92,9 +92,9 @@ def test_large_field_tables_match_schoolbook_oracle(p, k, mod):
 
 
 def test_add_examples():
-    f3 = field_new(3)
+    f3 = FieldSpec(3)
     assert f3.add(2, 2) == 1
-    f4 = field_new(2, 2)
+    f4 = FieldSpec(2, 2)
     assert f4.add(2, 3) == poly_add_oracle(2, 2, 2, 3) == 1
     for f in (f3, f4):
         for a in f.elements():
@@ -102,9 +102,9 @@ def test_add_examples():
 
 
 def test_mul_examples():
-    f5 = field_new(5)
+    f5 = FieldSpec(5)
     assert f5.mul(3, 2) == 1
-    f4 = field_new(2, 2)
+    f4 = FieldSpec(2, 2)
     assert f4.mul(2, 2) == poly_mul_oracle(2, 2, f4.modulus, 2, 2) == 3
     for f in (f5, f4):
         for a in f.elements():
@@ -113,7 +113,7 @@ def test_mul_examples():
 
 def test_mul_matches_schoolbook_oracle_everywhere():
     for p, k in [(2, 2), (2, 3), (3, 2)]:
-        f = field_new(p, k)
+        f = FieldSpec(p, k)
         for a in f.elements():
             for b in f.elements():
                 assert f.mul(a, b) == poly_mul_oracle(p, k, f.modulus, a, b)
@@ -121,9 +121,9 @@ def test_mul_matches_schoolbook_oracle_everywhere():
 
 
 def test_inv_examples():
-    f5 = field_new(5)
+    f5 = FieldSpec(5)
     assert f5.inv(3) == 2
-    f4 = field_new(2, 2)
+    f4 = FieldSpec(2, 2)
     assert f4.inv(2) == 3
     assert poly_mul_oracle(2, 2, f4.modulus, 2, 3) == 1
     for q in AXIOM_ORDERS:
@@ -132,7 +132,7 @@ def test_inv_examples():
 
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        field_new(5).inv(0)
+        FieldSpec(5).inv(0)
 
 
 @pytest.mark.parametrize("q", AXIOM_ORDERS)
@@ -169,7 +169,7 @@ def test_nonzero_enumeration(q):
 
 
 def test_subtraction_and_negation_are_digitwise():
-    f9 = field_new(3, 2)
+    f9 = FieldSpec(3, 2)
     for a in f9.elements():
         for b in f9.elements():
             assert f9.add(f9.sub(a, b), b) == a
@@ -177,7 +177,7 @@ def test_subtraction_and_negation_are_digitwise():
 
 
 def test_spec_string_roundtrip():
-    f = field_new(3, 2)
+    f = FieldSpec(3, 2)
     assert f.spec_string() == f"3,2,{f.modulus_code()}"
     g = field_from_order(9, f.modulus_code())
     assert g == f

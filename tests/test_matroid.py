@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from itertools import combinations
@@ -29,6 +30,7 @@ from gfmatroids import (
     rank_table,
     random_matroid,
     sample_bases,
+    shatter,
     simplify,
     subset_rank,
     uniform,
@@ -250,6 +252,35 @@ def test_isomorphism_guard():
     big = uniform(1, 13, F2)
     with pytest.raises(TooLargeError):
         is_isomorphic(big, big)
+
+
+def test_search_limits_are_not_options():
+    import gfmatroids
+
+    for fn in (girth, rank_table, bases, is_isomorphic, has_minor, random_matroid, shatter):
+        params = inspect.signature(fn).parameters
+        assert not [p for p in params if p.startswith("max_") or p == "mode"], fn.__name__
+    assert not hasattr(gfmatroids, "field_new")
+
+
+def _line(n):
+    return uniform(1, n, F2)  # rank 1: every guarded search on it is cheap
+
+
+@pytest.mark.parametrize("run, limit, message", [
+    (lambda n: girth(_line(n)), 24, "exact girth limited to 24 elements (|E| = 25); pass a cutoff"),
+    (lambda n: rank_table(_line(n)), 16, "rank_table limited to 16 elements (|E| = 17)"),
+    (lambda n: bases(_line(n)), 16, "basis enumeration limited to 16 elements (|E| = 17)"),
+    (lambda n: has_minor(_line(n), _line(1)), 16, "minor search limited to 16 elements (|E| = 17)"),
+    (lambda n: has_minor(_line(16), _line(n)), 10,
+     "minor search limited to 10-element targets (|E| = 11)"),
+    (lambda n: is_isomorphic(_line(n), _line(n)), 12, "isomorphism limited to 12 elements (|E| = 13)"),
+], ids=["girth", "rank_table", "bases", "has_minor", "has_minor-target", "is_isomorphic"])
+def test_size_guards_fire_just_above_their_limit(run, limit, message):
+    run(limit)
+    with pytest.raises(TooLargeError) as exc:
+        run(limit + 1)
+    assert str(exc.value) == message
 
 
 def test_has_minor_self_is_trivial_witness():

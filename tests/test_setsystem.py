@@ -105,11 +105,29 @@ def test_shatter_budget_guard():
         shatter(s, len(s.ground) // 2, budget=10)
 
 
+@pytest.mark.parametrize("kwargs, expected", [
+    ({}, (5, True, 3, 9)),  # exact: stops at the ceiling of 5 distinct sets
+    ({"trials": 3, "seed": 1}, (3, False, 3, 3)),
+    ({"trials": 30, "seed": 1}, (5, False, 3, 30)),  # sampling never stops early
+], ids=["exact", "sampled-3", "sampled-30"])
+def test_shatter_results_pinned(kwargs, expected):
+    m = random_matroid(3, 8, field_from_order(3), seed=1)
+    _, s = canonical_system(m)
+    r = shatter(s, 3, **kwargs)
+    assert (r.value, r.exact, r.m, r.subsets_checked) == expected
+
+
+def test_shatter_rejects_negative_trials():
+    _, s = canonical_system(random_matroid(3, 8, field_from_order(3), seed=1))
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        shatter(s, 3, trials=-5)
+
+
 def test_shatter_sampled_is_lower_bound():
     m = random_matroid(4, 10, field_from_order(3), seed=99)
     _, s = canonical_system(m)
     exact = shatter(s, 3)
-    sampled = shatter(s, 3, mode="sampled", trials=50, seed=5)
+    sampled = shatter(s, 3, trials=50, seed=5)
     assert not sampled.exact
     assert sampled.value <= exact.value
 
