@@ -165,9 +165,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)

@@ -66,9 +66,6 @@ class GFMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.data[:, j])
-
     def col_tuples(self) -> list[tuple[int, ...]]:
         if not self.rows:
             return [()] * self.cols
@@ -153,10 +150,6 @@ def rref(m: GFMatrix) -> RrefResult:
     return RrefResult(_rows_matrix(m.field, out, m.cols), len(piv), tuple(piv))
 
 
-def rank(m: GFMatrix) -> int:
-    return rref(m).rank
-
-
 @dataclass(frozen=True)
 class StandardForm:
     """Basis-indexed representation [I | A].
@@ -175,9 +168,6 @@ class StandardForm:
         eye = np.eye(r, dtype=np.uint8)
         full = np.hstack([eye, self.a.data]) if self.a.cols else eye
         return GFMatrix(self.field, full), self.basis_order + self.nonbasis_order
-
-    def entry(self, b: str, e: str) -> int:
-        return int(self.a.data[self.basis_order.index(b), self.nonbasis_order.index(e)])
 
 
 def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:

@@ -461,50 +461,48 @@ def is_circuit(m: RepMatroid, s: Iterable[str]) -> bool:
 
 
 class _Profile:
-    """Label-free fingerprint: the full independence relation plus per-element
-    invariants used to prune the bijection search."""
+    """Label-free fingerprint: the independent sets as bitmasks, the rank,
+    the basis count, and per element the number of independent sets and of
+    bases holding it; those per-element pairs prune the bijection search."""
 
     def __init__(self, kern: _Kernel, cols: Sequence):
         n = len(cols)
-        self.n = n
+        r = _rank(kern, cols)
         indep: set[int] = set()
+        in_indep, in_bases = [0] * n, [0] * n
         push = kern.push
         piv: dict = {}
 
-        def rec(start: int, mask: int) -> None:
+        def rec(start: int, depth: int, mask: int) -> tuple[int, int]:
+            # (independent sets, bases) at or below this node; every set that
+            # holds j lies below exactly one node where j was pushed
             indep.add(mask)
+            if depth == r:
+                return 1, 1
+            sets, found = 1, 0
             for j in range(start, n):
                 key = push(piv, cols[j])
                 if key is not None:
-                    rec(j + 1, mask | (1 << j))
+                    s, b = rec(j + 1, depth + 1, mask | (1 << j))
                     del piv[key]
+                    in_indep[j] += s
+                    in_bases[j] += b
+                    sets += s
+                    found += b
+            return sets, found
 
-        rec(0, 0)
-        self.indep = indep
-        self.rank = max(bin(x).count("1") for x in indep) if indep else 0
-        base_masks = [x for x in indep if bin(x).count("1") == self.rank]
-        self.n_bases = len(base_masks)
-        inv = []
-        for i in range(n):
-            bit = 1 << i
-            in_indep = sum(1 for x in indep if x & bit)
-            in_bases = sum(1 for x in base_masks if x & bit)
-            inv.append((in_indep, in_bases))
-        self.inv = inv
-
-    def inv_multiset(self) -> tuple:
-        return tuple(sorted(self.inv))
+        _, self.n_bases = rec(0, 0, 0)
+        self.n, self.rank, self.indep = n, r, indep
+        self.inv = list(zip(in_indep, in_bases))
 
 
 def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
-    if pa.n != pb.n or pa.rank != pb.rank or pa.n_bases != pb.n_bases:
+    if (pa.n, pa.rank, pa.n_bases, len(pa.indep)) != (pb.n, pb.rank, pb.n_bases, len(pb.indep)):
         return False
-    if len(pa.indep) != len(pb.indep) or pa.inv_multiset() != pb.inv_multiset():
+    if sorted(pa.inv) != sorted(pb.inv):
         return False
     n = pa.n
-    freq: dict[tuple, int] = {}
-    for v in pa.inv:
-        freq[v] = freq.get(v, 0) + 1
+    freq = Counter(pa.inv)
     order = sorted(range(n), key=lambda i: (freq[pa.inv[i]], pa.inv[i], i))
     cand = {i: [j for j in range(n) if pb.inv[j] == pa.inv[i]] for i in range(n)}
     used = [False] * n
@@ -589,8 +587,6 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
             drop = set(didx)
             keep = [j for j in range(nb) if j not in drop]
             cand = [bcols[j] for j in keep]
-            if _rank(kern, cand) != target.rank:
-                continue
             if _class_screen([bids[j] for j in keep]) != t_screen:
                 continue
             if t_girth is not None and t_girth > 3:

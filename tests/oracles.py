@@ -9,7 +9,7 @@ networkx.  Keep them slow and obvious.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -39,6 +39,20 @@ def brute_rank(q, add, mul, cols) -> int:
             if brute_independent(q, add, mul, combo):
                 return s
     return 0
+
+
+def brute_isomorphic(q, add, mul, cols_a, cols_b) -> bool:
+    """Some column permutation preserves the brute-force rank of every subset."""
+    n = len(cols_a)
+    if len(cols_b) != n:
+        return False
+    subsets = [s for size in range(n + 1) for s in combinations(range(n), size)]
+    rank_a = {s: brute_rank(q, add, mul, [cols_a[j] for j in s]) for s in subsets}
+    rank_b = {s: brute_rank(q, add, mul, [cols_b[j] for j in s]) for s in subsets}
+    return any(
+        all(rank_a[s] == rank_b[tuple(sorted(perm[j] for j in s))] for s in subsets)
+        for perm in permutations(range(n))
+    )
 
 
 # -- schoolbook polynomial arithmetic over GF(p) ----------------------------------

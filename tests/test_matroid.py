@@ -41,6 +41,7 @@ from oracles import graph_girth_oracle, edge_connectivity_oracle
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
+F4 = field_from_order(4)
 F5 = field_from_order(5)
 
 
@@ -248,6 +249,34 @@ def test_isomorphism_examples():
     assert not is_isomorphic(clique(4, F2), uniform(3, 6, F5))
 
 
+def _relabelled_copy(m, rng):
+    """m with its columns permuted, each scaled by a nonzero scalar, under new labels."""
+    f = m.field
+    cols = m.matrix.col_tuples()
+    order = rng.sample(range(m.size), m.size)
+    new = [tuple(f.mul(rng.randrange(1, f.q), x) for x in cols[j]) for j in order]
+    return RepMatroid(f, GFMatrix.from_cols(f, new, m.matrix.rows), [f"x{i}" for i in order])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_isomorphism_agrees_with_brute_force_oracle(q):
+    from oracles import brute_isomorphic, field_ops_oracle
+
+    f = field_from_order(q)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    rng = random.Random(400 + q)
+    answers = []
+    for i in range(12):
+        n = rng.randint(3, 6)
+        r = rng.randint(1, min(3, n))
+        a = random_matroid(r, n, f, seed=4000 + 100 * q + i)
+        b = _relabelled_copy(a, rng) if i % 3 == 0 else random_matroid(r, n, f, seed=4500 + 100 * q + i)
+        expected = brute_isomorphic(q, add, mul, a.matrix.col_tuples(), b.matrix.col_tuples())
+        assert is_isomorphic(a, b) == expected, (i, n, r)
+        answers.append(expected)
+    assert True in answers and False in answers
+
+
 def test_isomorphism_guard():
     big = uniform(1, 13, F2)
     with pytest.raises(TooLargeError):
@@ -293,6 +322,26 @@ def test_has_minor_goldens_small():
     pg = projective_geometry(3, F2)
     assert has_minor(pg, clique(4, F2)) is not None
     assert has_minor(pg, uniform(2, 4, F5)) is None  # binary: no 4-point line
+
+
+_PETERSEN = graphic(named_graph("petersen"), F2)
+
+
+@pytest.mark.parametrize("m, target, witness", [
+    (projective_geometry(3, F2), clique(4, F2), ({"e0"}, set())),
+    (_PETERSEN, clique(5, F2), (set(), {"0-1", "2-3", "4-9", "5-7", "6-8"})),
+    (clique(5, F2), clique(4, F2), ({"0-2", "0-3", "0-4"}, {"0-1"})),
+    (projective_geometry(3, F3), clique(4, F3), ({"e0", "e1", "e2", "e4", "e5", "e7", "e8"}, set())),
+    (uniform(3, 6, F5), uniform(2, 4, F5), ({"e1"}, {"e0"})),
+    (uniform(3, 5, F4), uniform(2, 4, F4), (set(), {"e0"})),
+    (clique(5, F3), uniform(2, 4, F3), None),
+], ids=["pg_2_2-mk4", "petersen-mk5", "mk5-mk4", "pg_2_3-mk4", "u36-u24@gf5", "u35-u24@gf4",
+        "mk5-u24@gf3"])
+def test_has_minor_first_witness_is_pinned(m, target, witness):
+    # the first witness in canonical order, as recorded from an earlier implementation
+    if witness is not None:
+        witness = tuple(frozenset(x) for x in witness)
+    assert has_minor(m, target) == witness
 
 
 def test_has_minor_witness_is_sound():

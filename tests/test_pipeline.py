@@ -23,6 +23,7 @@ from gfmatroids import (
     uniform,
     verify_dichotomy,
 )
+from gfmatroids import generators
 from gfmatroids.generators import Graph
 
 from oracles import is_graph_cycle
@@ -128,11 +129,13 @@ def test_verify_dichotomy_series_pair_certificate():
 
 
 def test_verify_dichotomy_sampled_mode():
-    pet = graphic(named_graph("petersen"), F2)
-    rep = verify_dichotomy(pet, 5, basis_mode="sample", samples=5, seed=3, minor_search=False)
+    # 21 elements: above the minor-search limit, so only the basis sampling runs
+    heawood = from_id("heawood@gf2")
+    rep = verify_dichotomy(heawood, 5, basis_mode="sample", samples=5, seed=3)
     assert rep.bases_checked == 5
     assert rep.basis_mode == "sample:5"
     assert rep.nonbasis_count <= 2
+    assert [f.status for f in rep.minors] == ["skipped", "skipped"]
 
 
 def test_verify_dichotomy_skips_minor_search_beyond_has_minor_limits():
@@ -140,6 +143,24 @@ def test_verify_dichotomy_skips_minor_search_beyond_has_minor_limits():
     assert heawood.size == 21
     rep = verify_dichotomy(heawood, 5)
     assert [(f.target, f.status) for f in rep.minors] == [("mk5", "skipped"), ("mk5_dual", "skipped")]
+
+
+@pytest.mark.parametrize("t", [6, 100])
+def test_verify_dichotomy_skips_large_targets_without_building_them(monkeypatch, t):
+    mk4 = clique(4, F2)
+    built = []
+    monkeypatch.setattr(generators, "clique", lambda *a, **kw: built.append(a))
+    rep = verify_dichotomy(mk4, t)
+    assert built == []
+    assert [(f.target, f.status) for f in rep.minors] == [
+        (f"mk{t}", "skipped"), (f"mk{t}_dual", "skipped"),
+    ]
+
+
+@pytest.mark.parametrize("t", [1, 0, -3])
+def test_verify_dichotomy_rejects_t_below_2(t):
+    with pytest.raises(ValueError, match=f"clique needs t >= 2, got {t}"):
+        verify_dichotomy(clique(4, F2), t)
 
 
 def test_density_ratio_goldens():
