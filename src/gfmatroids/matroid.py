@@ -1,9 +1,9 @@
 """Represented-matroid core: rank oracle, circuits, girth, duality, minors.
 
 A RepMatroid is the column matroid of a GFMatrix with distinct string
-labels, one per column.  Rank, bases, girth, isomorphism profiles and the
-minor screens all ask one question: is this column in the span of the
-columns chosen so far?  One span kernel answers it.  The kernel keeps
+labels, one per column.  Rank, bases, girth and isomorphism profiles all
+ask one question: is this column in the span of the columns chosen so
+far?  One span kernel answers it.  The kernel keeps
 pivots in a dict keyed by lead position; pushing a column stores its
 nonzero residue and returns the key, so a search undoes the step with
 `del piv[key]`.  The field is picked once, when the kernel is built: GF(2)
@@ -556,12 +556,75 @@ def _class_screen(ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return loops, tuple(sorted(counts.values()))
 
 
+def _codeword_supports(m: RepMatroid) -> list[int]:
+    """Support bitmask (bit j for column j) of one codeword per 1-dimensional
+    subspace of m's cycle space, the null space of its matrix.
+
+    The rows of dual(m)'s matrix span that space.  Over GF(2) every nonzero
+    combination is listed in Gray-code order, one XOR per step; over other
+    fields, one vector per projective point, with leading coefficient 1.
+    """
+    rows = dual(m).matrix.row_tuples()
+    if m.field.q == 2:
+        packed = [_pack2(r) for r in rows]
+        out, s = [], 0
+        for i in range(1, 1 << len(packed)):
+            s ^= packed[(i & -i).bit_length() - 1]
+            out.append(s)
+        return out
+    add, mul = m.field._add, m.field._mul
+    out = []
+    for i, lead in enumerate(rows):
+        vecs = [lead]
+        for row in rows[i + 1:]:
+            vecs = [
+                [add[x][mul[c][y]] for x, y in zip(v, row)] for v in vecs for c in range(m.field.q)
+            ]
+        out += [_pack2(v) for v in vecs]
+    return out
+
+
+def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
+    """{weight: count} of the 1-dimensional subspaces of the cycle space of
+    any GF(q) representation of m, from its rank function alone.
+
+    The cycle-space vectors with support inside T number q^(|T| - r(T));
+    inclusion-exclusion over the subsets of each support leaves those of
+    exact weight w (Greene's theorem).
+    """
+    n = m.size
+    by_size = [0] * (n + 1)  # sum of q^(|T| - r(T)) over the T of each size
+    for t, r in enumerate(rank_table(m)):
+        k = t.bit_count()
+        by_size[k] += q ** (k - r)
+    counts = {}
+    for w in range(1, n + 1):
+        vectors = sum((-1) ** (w - k) * math.comb(n - k, w - k) * by_size[k] for k in range(w + 1))
+        if vectors:
+            counts[w] = vectors // (q - 1)
+    return counts
+
+
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """Exhaustive minor search; returns (delete, contract) labels or None.
 
-    Only independent contract sets of size rank(m) - rank(target) are
-    enumerated (every minor admits such a presentation); candidates are
-    screened by cheap invariants before the full isomorphism test.
+    Only independent contract sets C of size rank(m) - rank(target) are
+    enumerated (every minor admits such a presentation).  A candidate
+    (m/C)\\D must pass cheap screens before the full isomorphism test:
+
+    - Codeword weights, when m's cycle space has at most as many
+      1-dimensional subspaces as the target has independent sets (then
+      scanning them costs no more than the profile they can save).  They
+      are listed once.  As C is independent, the cycle space of (m/C)\\D is
+      one to one with m's codewords that vanish on D, restricted to
+      E - C - D, so bitmask tests give the candidate's weight counts before
+      its minor is built.  They must equal the target's over m's field,
+      which the target's rank function gives, whatever its own field.
+    - Loop count and parallel-class sizes.
+    - Without the weight screen, no circuit shorter than the target's
+      girth; the weights already fix the girth.
+
+    Screens only reject, so the witness is the first in canonical order.
     """
     if m.size > ENUMERATION_LIMIT:
         raise TooLargeError(f"minor search limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})")
@@ -569,21 +632,50 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
         raise TooLargeError(
             f"minor search limited to {MINOR_TARGET_LIMIT}-element targets (|E| = {target.size})"
         )
+    n, q = m.size, m.field.q
     r_diff = m.rank - target.rank
-    d_count = m.size - r_diff - target.size
+    d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
     t_cols = target._packed()
     t_profile = _Profile(target._kernel, t_cols)
     t_screen = _class_screen(_class_ids(target))
-    t_girth = _min_dependent_size(target._kernel, t_cols, target.size)
+    supports = t_girth = None
+    if (q ** (n - m.rank) - 1) // (q - 1) <= len(t_profile.indep):
+        supports = _codeword_supports(m)
+        t_counts = _weight_counts(target, q)
+        # per element, a mask over codeword indices: the codewords whose support holds it
+        hits = [sum(1 << i for i, s in enumerate(supports) if s >> e & 1) for e in range(n)]
+    else:
+        t_girth = _min_dependent_size(target._kernel, t_cols, target.size)
     kern = m._kernel
+    nb = n - r_diff  # size of each contraction m/C
     for cset in _independent_subsets(m, r_diff):
-        base = minor(m, delete=(), contract=cset)
-        bcols = base._packed()
-        bids = _class_ids(base)
-        nb = base.size
+        if supports is not None:
+            # group the codewords by their weight outside C; a candidate keeps
+            # those of each group that miss D, and must keep the target's count
+            cidx = m.indices_of(cset)
+            cmask = sum(1 << j for j in cidx)
+            by_weight: dict[int, int] = {}
+            for i, s in enumerate(supports):
+                w = (s & ~cmask).bit_count()
+                by_weight[w] = by_weight.get(w, 0) | 1 << i
+            checks = [
+                (by_weight.get(w, 0), t_counts.get(w, 0))
+                for w in sorted(by_weight.keys() | t_counts.keys())
+            ]
+            rest_hits = [hits[j] for j in range(n) if j not in cidx]
+        base = None
         for didx in itertools.combinations(range(nb), d_count):
+            if supports is not None:
+                gone = 0
+                for j in didx:
+                    gone |= rest_hits[j]
+                if any((group & ~gone).bit_count() != c for group, c in checks):
+                    continue
+            if base is None:
+                base = minor(m, delete=(), contract=cset)
+                bcols, bids = base._packed(), _class_ids(base)
             drop = set(didx)
             keep = [j for j in range(nb) if j not in drop]
             cand = [bcols[j] for j in keep]

@@ -1,7 +1,8 @@
 import inspect
 import math
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -36,6 +37,7 @@ from gfmatroids import (
     uniform,
 )
 from gfmatroids.generators import Graph
+from gfmatroids.matroid import _Profile, _codeword_supports, _weight_counts
 
 from oracles import graph_girth_oracle, edge_connectivity_oracle
 
@@ -254,7 +256,8 @@ def _relabelled_copy(m, rng):
     f = m.field
     cols = m.matrix.col_tuples()
     order = rng.sample(range(m.size), m.size)
-    new = [tuple(f.mul(rng.randrange(1, f.q), x) for x in cols[j]) for j in order]
+    scales = [rng.randrange(1, f.q) for _ in order]
+    new = [tuple(f.mul(c, x) for x in cols[j]) for c, j in zip(scales, order)]
     return RepMatroid(f, GFMatrix.from_cols(f, new, m.matrix.rows), [f"x{i}" for i in order])
 
 
@@ -281,6 +284,53 @@ def test_isomorphism_guard():
     big = uniform(1, 13, F2)
     with pytest.raises(TooLargeError):
         is_isomorphic(big, big)
+
+
+def _det3_mod(p, a, b, c):
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    ) % p
+
+
+def _cycles_of_lines(seed, cycle_lengths):
+    """A rank-3 sparse paving matroid over GF(101): per cycle of k vertices,
+    vertex i and a point on the line to vertex i + 1, so the 3-point lines
+    {v_i, point_i, v_(i+1)} close up into a k-cycle.  The draw must leave
+    those lines as the only dependent triples."""
+    f = field_from_order(101)
+    rng = random.Random(seed)
+    cols, lines = [], set()
+    for k in cycle_lengths:
+        verts = [tuple(rng.randrange(101) for _ in range(3)) for _ in range(k)]
+        base = len(cols)
+        for i in range(k):
+            lam = rng.randrange(1, 101)
+            on_line = tuple((x + lam * y) % 101 for x, y in zip(verts[i], verts[(i + 1) % k]))
+            cols += [verts[i], on_line]
+            lines.add((base + 2 * i, base + 2 * i + 1, base + (2 * i + 2) % (2 * k)))
+    # a 3x3 determinant, not oracles.brute_rank: that would try 101^3 coefficient vectors per triple
+    dependent = {
+        t for t in combinations(range(len(cols)), 3) if _det3_mod(101, *(cols[j] for j in t)) == 0
+    }
+    assert dependent == {tuple(sorted(t)) for t in lines}
+    return RepMatroid(f, GFMatrix.from_cols(f, cols, 3), [f"p{j}" for j in range(len(cols))])
+
+
+def test_bijection_search_decides_between_equal_profiles():
+    # one 6-cycle of lines against two 3-cycles: every point lies on 1 or 2
+    # lines in both, so rank, basis and independent-set counts and the
+    # per-element pairs agree, and only the pairwise check can tell them apart
+    hexagon = _cycles_of_lines(5, (6,))
+    triangles = _cycles_of_lines(0, (3, 3))
+    pa, pb = (_Profile(m._kernel, m._packed()) for m in (hexagon, triangles))
+    assert (pa.n, pa.rank, pa.n_bases, len(pa.indep)) == (pb.n, pb.rank, pb.n_bases, len(pb.indep))
+    assert sorted(pa.inv) == sorted(pb.inv)
+    assert not is_isomorphic(hexagon, triangles)
+    rng = random.Random(3)
+    for m in (hexagon, triangles):
+        assert is_isomorphic(m, _relabelled_copy(m, rng))
 
 
 def test_search_limits_are_not_options():
@@ -327,21 +377,71 @@ def test_has_minor_goldens_small():
 _PETERSEN = graphic(named_graph("petersen"), F2)
 
 
-@pytest.mark.parametrize("m, target, witness", [
-    (projective_geometry(3, F2), clique(4, F2), ({"e0"}, set())),
-    (_PETERSEN, clique(5, F2), (set(), {"0-1", "2-3", "4-9", "5-7", "6-8"})),
-    (clique(5, F2), clique(4, F2), ({"0-2", "0-3", "0-4"}, {"0-1"})),
-    (projective_geometry(3, F3), clique(4, F3), ({"e0", "e1", "e2", "e4", "e5", "e7", "e8"}, set())),
-    (uniform(3, 6, F5), uniform(2, 4, F5), ({"e1"}, {"e0"})),
-    (uniform(3, 5, F4), uniform(2, 4, F4), (set(), {"e0"})),
-    (clique(5, F3), uniform(2, 4, F3), None),
+@pytest.mark.parametrize("m, target, witness, filtered", [
+    (projective_geometry(3, F2), clique(4, F2), ({"e0"}, set()), True),
+    (_PETERSEN, clique(5, F2), (set(), {"0-1", "2-3", "4-9", "5-7", "6-8"}), True),
+    (clique(5, F2), clique(4, F2), ({"0-2", "0-3", "0-4"}, {"0-1"}), False),
+    (projective_geometry(3, F3), clique(4, F3), ({"e0", "e1", "e2", "e4", "e5", "e7", "e8"}, set()), False),
+    (uniform(3, 6, F5), uniform(2, 4, F5), ({"e1"}, {"e0"}), False),
+    (uniform(3, 5, F4), uniform(2, 4, F4), (set(), {"e0"}), True),
+    (clique(5, F3), uniform(2, 4, F3), None, False),
+    (_PETERSEN, dual(clique(5, F2)), None, True),
+    (random_matroid(5, 10, F2, seed=1), clique(4, F2), ({"e0", "e5"}, {"e1", "e2"}), True),
+    (random_matroid(6, 11, F2, seed=2), dual(clique(4, F2)), None, True),
+    (random_matroid(7, 11, F2, seed=8), dual(clique(4, F2)), ({"e5"}, {"e0", "e1", "e2", "e9"}), True),
+    (random_matroid(7, 12, F2, seed=3), clique(4, F2), None, True),
+    (random_matroid(8, 13, F2, seed=4), clique(4, F3), ({"e4", "e9"}, {"e0", "e1", "e2", "e3", "e8"}), True),
 ], ids=["pg_2_2-mk4", "petersen-mk5", "mk5-mk4", "pg_2_3-mk4", "u36-u24@gf5", "u35-u24@gf4",
-        "mk5-u24@gf3"])
-def test_has_minor_first_witness_is_pinned(m, target, witness):
-    # the first witness in canonical order, as recorded from an earlier implementation
+        "mk5-u24@gf3", "petersen-mk5dual", "gf2_10-mk4", "gf2_11-mk4dual", "gf2_11b-mk4dual",
+        "gf2_12-mk4", "gf2_13-mk4@gf3"])
+def test_has_minor_first_witness_is_pinned(m, target, witness, filtered):
+    # the first witness in canonical order, as recorded from an earlier
+    # implementation; `filtered` pins whether has_minor screens by codeword
+    # weights, which it does when m's cycle space has at most as many
+    # 1-dimensional subspaces as the target has independent sets
+    q = m.field.q
+    independent = sum(1 for s, r in enumerate(rank_table(target)) if r == s.bit_count())
+    assert ((q ** (m.size - m.rank) - 1) // (q - 1) <= independent) == filtered
     if witness is not None:
         witness = tuple(frozenset(x) for x in witness)
     assert has_minor(m, target) == witness
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_codeword_supports_match_brute_force(q):
+    from oracles import field_ops_oracle
+
+    f = field_from_order(q)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    n = 8 if q < 4 else 6
+    for r in (2, 3, 4):
+        m = random_matroid(r, n, f, seed=3000 + 10 * q + r)
+        cols = m.matrix.col_tuples()
+        multiples = [[tuple(mul(c, x) for x in col) for c in range(q)] for col in cols]
+        seen, supports = set(), []
+        for x in product(range(q), repeat=n):
+            acc = (0,) * m.matrix.rows
+            for j, c in enumerate(x):
+                acc = tuple(add(a, b) for a, b in zip(acc, multiples[j][c]))
+            if not any(x) or any(acc):
+                continue
+            point = min(tuple(mul(c, v) for v in x) for c in range(1, q))  # one per scalar class
+            if point not in seen:
+                seen.add(point)
+                supports.append(sum(1 << j for j, v in enumerate(x) if v))
+        assert sorted(_codeword_supports(m)) == sorted(supports), r
+        weights = [s.bit_count() for s in supports]
+        assert girth(m) == min(weights, default=math.inf)
+        assert _weight_counts(m, q) == Counter(weights)
+
+
+def test_weight_counts_depend_only_on_the_matroid_and_q():
+    # M(K_t) over each field; its codeword weights over GF(q) come from its ranks alone
+    for t in (3, 4, 5):
+        for q in (2, 3, 4):
+            listed = Counter(s.bit_count() for s in _codeword_supports(clique(t, field_from_order(q))))
+            for other in (2, 3, 4):
+                assert _weight_counts(clique(t, field_from_order(other)), q) == listed, (t, q, other)
 
 
 def test_has_minor_witness_is_sound():
