@@ -57,9 +57,13 @@ def _basis_arg(text: str) -> tuple[str, int]:
         return "all", 20
     if text.startswith("sample:"):
         try:
-            return "sample", int(text[len("sample:"):])
+            n = int(text[len("sample:"):])
         except ValueError:
             pass
+        else:
+            if n < 1:
+                raise argparse.ArgumentTypeError(f"sample count must be >= 1, got {text!r}")
+            return "sample", n
     raise argparse.ArgumentTypeError(f"expected `all` or `sample:<n>`, got {text!r}")
 
 

@@ -170,15 +170,17 @@ class StandardForm:
         return GFMatrix(self.field, full), self.basis_order + self.nonbasis_order
 
 
-def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:
-    """Row-reduce so the basis columns become an identity, dropping zero rows.
+def _standard_form_rows(
+    field: FieldSpec, rows: Sequence[Sequence[int]], ncols: int,
+    labels: Sequence[str], basis: Iterable[str],
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[int]]]:
+    """`standard_form` on a list of rows, without building a GFMatrix.
 
-    Basis and non-basis columns both keep the input label order.  Raises
-    NotABasisError when the claimed basis is dependent or not spanning.
+    Returns (basis_order, nonbasis_order, rows of A); `rows` is not changed.
     """
     labels = tuple(labels)
-    if len(labels) != m.cols:
-        raise ValueError(f"{len(labels)} labels for {m.cols} columns")
+    if len(labels) != ncols:
+        raise ValueError(f"{len(labels)} labels for {ncols} columns")
     basis = set(basis)
     unknown = basis - set(labels)
     if unknown:
@@ -187,15 +189,26 @@ def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> S
     nonbasis_order = tuple(l for l in labels if l not in basis)
     index = {l: j for j, l in enumerate(labels)}
     perm = [index[l] for l in basis_order] + [index[l] for l in nonbasis_order]
-    work = [[row[j] for j in perm] for row in m.data.tolist()]
-    piv = _gauss_jordan(m.field, work, range(m.cols))
+    work = [[row[j] for j in perm] for row in rows]
+    piv = _gauss_jordan(field, work, range(ncols))
     # pivots span all columns, so len(piv) is the full matrix rank; a
     # basis must claim exactly those pivots within its own column block
     nb = len(basis_order)
     if len(piv) != nb or any(p >= nb for p in piv):
         raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
-    a = _rows_matrix(m.field, [work[r][nb:] for r in piv.values()], m.cols - nb)
-    return StandardForm(m.field, basis_order, nonbasis_order, a)
+    return basis_order, nonbasis_order, [work[r][nb:] for r in piv.values()]
+
+
+def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:
+    """Row-reduce so the basis columns become an identity, dropping zero rows.
+
+    Basis and non-basis columns both keep the input label order.  Raises
+    NotABasisError when the claimed basis is dependent or not spanning.
+    """
+    basis_order, nonbasis_order, a = _standard_form_rows(
+        m.field, m.data.tolist(), m.cols, labels, basis)
+    return StandardForm(m.field, basis_order, nonbasis_order,
+                        _rows_matrix(m.field, a, len(nonbasis_order)))
 
 
 def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tuple[int, ...]]:

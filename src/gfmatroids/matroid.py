@@ -63,6 +63,7 @@ class RepMatroid:
         self.labels = labels
         self._index = {l: j for j, l in enumerate(labels)}
         self._kernel = _kernel(field)
+        self._rows_cache: Optional[list[tuple[int, ...]]] = None
         self._cols_cache: Optional[list[tuple[int, ...]]] = None
         self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
@@ -76,6 +77,11 @@ class RepMatroid:
         if self._rank_cache is None:
             self._rank_cache = _rank(self._kernel, self._packed())
         return self._rank_cache
+
+    def _rows(self) -> list[tuple[int, ...]]:
+        if self._rows_cache is None:
+            self._rows_cache = self.matrix.row_tuples()
+        return self._rows_cache
 
     def _cols(self) -> list[tuple[int, ...]]:
         if self._cols_cache is None:

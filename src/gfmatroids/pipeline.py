@@ -1,11 +1,15 @@
 """Short-circuit extraction, the girth dichotomy harness, and density checks.
 
-Given a basis, the extractor builds the standard form and its set system,
-then returns the smallest circuit among: a duplicate-column parallel pair,
-the circuit inside B' + {e, e'} for the closest column pairs (closest by
-symmetric difference and by Hamming distance), and every fundamental
-circuit.  The result always satisfies |C \\ B| <= 2 and
-|C| <= hamming(closest pair) + 2.
+Given a basis, the extractor reduces the matroid's cached rows to the
+standard form [I | A] once, builds its set system, and returns the smallest
+circuit among every fundamental circuit and one circuit for each of the
+closest column pairs (closest by symmetric difference and by Hamming
+distance, both found by one scan in `setsystem.separation`).  For a pair
+e, f let D be {e, f} plus the basis rows where a_e and a_f differ.  When
+a_e and a_f share a nonzero entry, D has nullity 1 and is itself the
+circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
+A duplicate-column parallel pair gives D = {e, f}.  The result always
+satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .gfmatrix import standard_form
+from .gfmatrix import _standard_form_rows
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -29,13 +33,7 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import (
-    build_set_system,
-    greedy_delta_packing,
-    hamming_distance,
-    separation,
-    sym_diff_size,
-)
+from .setsystem import _system_of_rows, greedy_delta_packing, separation, sym_diff_size
 from . import generators
 
 
@@ -63,16 +61,16 @@ class ShortCircuitStats:
 def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[str], ShortCircuitStats]:
     """Smallest circuit with at most two non-basis elements, w.r.t. `basis`."""
     basis = set(basis)
-    sf = standard_form(m.matrix, m.labels, basis)
-    nonbasis = sf.nonbasis_order
+    basis_order, nonbasis, a = _standard_form_rows(m.field, m._rows(), m.size, m.labels, basis)
     if not nonbasis:
         raise NoCircuitError("free matroid has no circuits")
-    a_col = dict(zip(nonbasis, sf.a.col_tuples()))
+    # the columns of A; without basis rows every column is empty
+    a_col = dict(zip(nonbasis, list(zip(*a)) or [()] * len(nonbasis)))
     candidates: list[tuple[int, tuple[str, ...], frozenset[str], str]] = []
 
     best_fund = None
     for e in sorted(nonbasis):
-        support = [b for b, x in zip(sf.basis_order, a_col[e]) if x]
+        support = [b for b, x in zip(basis_order, a_col[e]) if x]
         circ = frozenset(support) | {e}
         candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
         if best_fund is None or len(circ) < best_fund:
@@ -80,20 +78,23 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
 
     min_sym = min_sym_pair = pair_ham = min_ham = None
     if len(nonbasis) >= 2:
-        system = build_set_system(sf)
+        system = _system_of_rows(m.field, basis_order, nonbasis, a)
         sep = separation(system)
         min_sym, min_sym_pair, pair_ham = sep.sym_diff, sep.min_pair, sep.hamming
-        min_ham, ham_pair = min(
-            (hamming_distance(system, e, f), (e, f))
-            for e, f in combinations(sorted(nonbasis), 2)
-        )
+        min_ham, ham_pair = sep.min_hamming, sep.hamming_pair
         pairs_to_try = [min_sym_pair]
         if ham_pair != min_sym_pair:
             pairs_to_try.append(ham_pair)
         for e, f in pairs_to_try:
-            rows_differ = [b for b, x, y in zip(sf.basis_order, a_col[e], a_col[f]) if x != y]
+            rows_differ = [b for b, x, y in zip(basis_order, a_col[e], a_col[f]) if x != y]
             dependent = frozenset(rows_differ) | {e, f}
-            circ = circuit_of_dependent(m, dependent)
+            if system.mask_of(e) & system.mask_of(f):
+                # a_e and a_f share a nonzero entry, so e is outside the span
+                # of the differing rows: `dependent` has nullity 1, and its one
+                # dependency e - f - sum (a_e - a_f)_b b has full support
+                circ = dependent
+            else:
+                circ = circuit_of_dependent(m, dependent)
             candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
 
     size, _, best, source = min(candidates)
@@ -202,6 +203,8 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         basis_list = bases(m)
         mode_used = "all"
     else:
+        if samples < 1:
+            raise ValueError(f"basis sampling needs samples >= 1, got {samples}")
         basis_list = sample_bases(m, samples, seed)
         mode_used = f"sample:{samples}" if basis_mode != "all" else f"sample:{samples} (auto)"
     if not basis_list:

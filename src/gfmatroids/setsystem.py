@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .gf import FieldSpec
 from .gfmatrix import StandardForm, rref, standard_form
@@ -27,18 +28,28 @@ GroundPair = tuple[str, int]
 
 
 class SetSystem:
-    """Bitset-backed family {F_e} on V = basis x nonzero field values."""
+    """Bitset-backed family {F_e} on V = basis x nonzero field values.
+
+    Row i of the basis owns the q-1 bits from i*(q-1) up, one per nonzero
+    value.  Beside each member's mask M_e the system keeps its row support
+    N_e: bit i*(q-1) set exactly when row i of the column is nonzero.
+    """
 
     def __init__(self, field: FieldSpec, basis_order: tuple[str, ...],
                  members: list[tuple[str, int]]):
         self.field = field
         self.basis_order = basis_order
-        self.ground: tuple[GroundPair, ...] = tuple(
-            (b, a) for b in basis_order for a in range(1, field.q)
-        )
-        self._ground_pos = {pair: i for i, pair in enumerate(self.ground)}
         self.members = tuple(members)  # (nonbasis label, bitset) in column order
         self._by_label = dict(members)
+        per = field.q - 1
+        row_starts = sum(1 << i * per for i in range(len(basis_order)))
+        self._support: dict[str, int] = {}
+        for label, mask in members:
+            # OR each row's bits down into the row's lowest bit
+            nz = mask
+            for t in range(1, per):
+                nz |= mask >> t
+            self._support[label] = nz & row_starts
 
     @property
     def q(self) -> int:
@@ -47,6 +58,14 @@ class SetSystem:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.members)
+
+    @cached_property
+    def ground(self) -> tuple[GroundPair, ...]:
+        return tuple((b, a) for b in self.basis_order for a in range(1, self.field.q))
+
+    @cached_property
+    def _ground_pos(self) -> dict[GroundPair, int]:
+        return {pair: i for i, pair in enumerate(self.ground)}
 
     def set_of(self, label: str) -> frozenset[GroundPair]:
         mask = self._by_label[label]
@@ -68,16 +87,21 @@ class SetSystem:
         return [p for i, p in enumerate(self.ground) if mask >> i & 1]
 
 
-def build_set_system(sf: StandardForm) -> SetSystem:
-    q = sf.field.q
-    members = []
-    for e, col in zip(sf.nonbasis_order, sf.a.col_tuples()):
-        mask = 0
-        for i, v in enumerate(col):
+def _system_of_rows(field: FieldSpec, basis_order: tuple[str, ...],
+                    nonbasis_order: tuple[str, ...], a_rows: Sequence[Sequence[int]]) -> SetSystem:
+    """The set system of [I | A] given A by rows, one row per basis element."""
+    per = field.q - 1
+    masks = [0] * len(nonbasis_order)
+    for i, row in enumerate(a_rows):
+        base = i * per - 1
+        for j, v in enumerate(row):
             if v:
-                mask |= 1 << (i * (q - 1) + (v - 1))
-        members.append((e, mask))
-    return SetSystem(sf.field, sf.basis_order, members)
+                masks[j] |= 1 << (base + v)
+    return SetSystem(field, basis_order, list(zip(nonbasis_order, masks)))
+
+
+def build_set_system(sf: StandardForm) -> SetSystem:
+    return _system_of_rows(sf.field, sf.basis_order, sf.nonbasis_order, sf.a.row_tuples())
 
 
 def canonical_system(m) -> tuple[StandardForm, SetSystem]:
@@ -93,15 +117,13 @@ def sym_diff_size(s: SetSystem, e: str, f: str) -> int:
 
 
 def hamming_distance(s: SetSystem, e: str, f: str) -> int:
-    """Number of basis rows where the two underlying columns differ."""
-    diff = s.mask_of(e) ^ s.mask_of(f)
-    rows = 0
-    per = s.q - 1
-    while diff:
-        if diff & ((1 << per) - 1):
-            rows += 1
-        diff >>= per
-    return rows
+    """Number of basis rows where the two underlying columns differ.
+
+    Those are the rows where either column is nonzero, less the rows where
+    both hold the same nonzero value, which are the bits of M_e & M_f.
+    """
+    return ((s._support[e] | s._support[f]).bit_count()
+            - (s.mask_of(e) & s.mask_of(f)).bit_count())
 
 
 def trace_count(s: SetSystem, w: Iterable[GroundPair]) -> int:
@@ -163,25 +185,32 @@ def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0,
 class SeparationReport:
     min_pair: tuple[str, str]
     sym_diff: int
-    hamming: int
+    hamming: int  # Hamming distance of min_pair
     delta_separated_at: int
+    hamming_pair: tuple[str, str]  # closest pair by Hamming distance
+    min_hamming: int
 
 
 def separation(s: SetSystem) -> SeparationReport:
-    """Closest pair by symmetric difference (lexicographic tie-break)."""
+    """Closest pairs by symmetric difference and by Hamming distance, each
+    with the lexicographically first pair among ties, from one scan."""
     labels = sorted(s.labels)
     if len(labels) < 2:
         raise InsufficientFamilyError(
             f"separation needs >= 2 member sets, got {len(labels)}"
         )
-    best: Optional[tuple[int, tuple[str, str]]] = None
-    for e, f in combinations(labels, 2):
-        d = sym_diff_size(s, e, f)
-        key = (d, (e, f))
-        if best is None or key < best:
-            best = key
-    d, pair = best
-    return SeparationReport(pair, d, hamming_distance(s, *pair), d)
+    members = [(l, s._by_label[l], s._support[l]) for l in labels]
+    sym = ham = None
+    # pairs come in lexicographic order, so a strict < keeps the first of ties
+    for (e, me, ne), (f, mf, nf) in combinations(members, 2):
+        d = (me ^ mf).bit_count()
+        h = (ne | nf).bit_count() - (me & mf).bit_count()  # as in hamming_distance
+        if sym is None or d < sym[0]:
+            sym = (d, h, (e, f))
+        if ham is None or h < ham[0]:
+            ham = (h, (e, f))
+    d, h, pair = sym
+    return SeparationReport(pair, d, h, d, ham[1], ham[0])
 
 
 def greedy_delta_packing(s: SetSystem, delta: int) -> list[str]:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's elimination kernels: independence is
 checked by enumerating coefficient combinations, field arithmetic by
 schoolbook polynomial work on digit lists, and graph facts by BFS or
-networkx.  Keep them slow and obvious.
+networkx.  Keep them slow and obvious.  `short_circuit_reference` is the
+one exception: it runs the library's own kernels the long way, as the
+reference for the short-circuit extractor.
 """
 
 from __future__ import annotations
@@ -208,3 +210,62 @@ def projective_class_count_oracle(q: int, mul, r: int) -> int:
             members.append(tuple(mul(c, x) for x in vec))
         reps.add(min(members))
     return len(reps)
+
+
+# -- reference short-circuit extraction -------------------------------------------
+
+
+def short_circuit_reference(m, basis):
+    """`find_short_circuit` the long way, as a differential reference.
+
+    The standard form comes from `standard_form`, the closest pairs from a
+    scan of every pair in sorted order (symmetric difference from the set
+    system, Hamming distance by comparing the columns row by row), and each
+    pair's circuit from `circuit_of_dependent` on the rows where the two
+    columns differ plus the pair.  Ties break as in the library: the first
+    pair in sorted order, then the smallest circuit by size and sorted
+    labels, a fundamental circuit before a pair circuit.
+    """
+    from gfmatroids import (
+        NoCircuitError, ShortCircuitStats, build_set_system, circuit_of_dependent,
+        standard_form, sym_diff_size,
+    )
+
+    basis = set(basis)
+    sf = standard_form(m.matrix, m.labels, basis)
+    nonbasis = sf.nonbasis_order
+    if not nonbasis:
+        raise NoCircuitError("free matroid has no circuits")
+    col = dict(zip(nonbasis, sf.a.col_tuples()))
+    candidates = []
+    for e in sorted(nonbasis):
+        circ = frozenset(b for b, x in zip(sf.basis_order, col[e]) if x) | {e}
+        candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
+    best_fund = min(c[0] for c in candidates)
+
+    min_sym = min_sym_pair = pair_ham = min_ham = None
+    if len(nonbasis) >= 2:
+        system = build_set_system(sf)
+
+        def hamming(e, f):
+            return sum(1 for x, y in zip(col[e], col[f]) if x != y)
+
+        pairs = list(combinations(sorted(nonbasis), 2))
+        min_sym, min_sym_pair = min((sym_diff_size(system, e, f), (e, f)) for e, f in pairs)
+        pair_ham = hamming(*min_sym_pair)
+        min_ham, ham_pair = min((hamming(e, f), (e, f)) for e, f in pairs)
+        for e, f in dict.fromkeys([min_sym_pair, ham_pair]):
+            rows = {b for b, x, y in zip(sf.basis_order, col[e], col[f]) if x != y}
+            circ = circuit_of_dependent(m, rows | {e, f})
+            candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
+
+    _, _, best, source = min(candidates)
+    return best, ShortCircuitStats(
+        nonbasis_count=len(best - basis),
+        min_sym_diff=min_sym,
+        min_sym_pair=min_sym_pair,
+        pair_hamming=pair_ham,
+        min_hamming=min_ham,
+        best_fundamental=best_fund,
+        source=source,
+    )

@@ -133,6 +133,15 @@ def test_bad_flag_or_suffix_is_an_input_error(tmp_path, capsys, argv, names):
     assert names in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_sample_count_is_an_input_error(capsys, count):
+    code, rep = run_json(capsys, "verify", "gen:mk4_dual", "--t", "4", "--basis", f"sample:{count}")
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert rep["error"]["message"].startswith("argument --basis:")
+    assert f"sample:{count}" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("argv, code, names, not_named", [
     (["gen:mk4@gf3", "--field", "5"], 2, ["@gf3", "GF(5)"], []),
     (["gen:mk4@gf3", "--field", "3"], 0, [], []),

@@ -7,6 +7,7 @@ from gfmatroids import (
     RepMatroid,
     bases,
     build_set_system,
+    circuit_of_dependent,
     clique,
     density_ratio,
     field_from_order,
@@ -23,10 +24,10 @@ from gfmatroids import (
     uniform,
     verify_dichotomy,
 )
-from gfmatroids import generators
+from gfmatroids import generators, pipeline
 from gfmatroids.generators import Graph
 
-from oracles import is_graph_cycle
+from oracles import brute_rank, field_ops_oracle, is_graph_cycle, short_circuit_reference
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -197,3 +198,64 @@ def test_packing_ratios_shape():
     assert [r["delta"] for r in rows] == [1, 2, 3]
     assert all(r["separated"] for r in rows)
     assert all(r["ratio"] == r["size"] * r["delta"] / len(sf.basis_order) for r in rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_short_circuit_matches_reference_on_every_basis(q):
+    f = field_from_order(q)
+    for i in range(16):
+        r = 2 + i % 4
+        m = random_matroid(r, r + 2 + i % 5, f, seed=3100 + 100 * q + i)
+        for basis in bases(m):
+            assert find_short_circuit(m, basis) == short_circuit_reference(m, basis)
+
+
+def _assert_circuit_by_brute_force(m, circ):
+    # prime fields only: the oracle's arithmetic is then mod q
+    add, mul = field_ops_oracle(m.field.q, 1, None)
+    cols = dict(zip(m.labels, m.matrix.col_tuples()))
+    rank = lambda s: brute_rank(m.field.q, add, mul, [cols[l] for l in s])
+    assert rank(circ) == len(circ) - 1
+    assert all(rank(circ - {e}) == len(circ) - 1 for e in circ)
+
+
+def _spied_short_circuit(monkeypatch, m, basis):
+    calls = []
+
+    def spy(mat, s):
+        calls.append(frozenset(s))
+        return circuit_of_dependent(mat, s)
+
+    monkeypatch.setattr(pipeline, "circuit_of_dependent", spy)
+    return find_short_circuit(m, basis), calls
+
+
+def test_pair_sharing_a_nonzero_entry_is_its_own_circuit(monkeypatch):
+    # e and f agree on b1..b3 and differ on b4: D = {b4, e, f} is the circuit
+    m = RepMatroid(F3, GFMatrix(F3, [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 1],
+                                     [0, 0, 0, 1, 1, 2]]),
+                   ["b1", "b2", "b3", "b4", "e", "f"])
+    (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
+    assert stats.min_sym_pair == ("e", "f") and stats.source == "pair"
+    assert calls == []
+    assert circ == {"b4", "e", "f"}
+    _assert_circuit_by_brute_force(m, circ)
+
+
+def test_pair_with_disjoint_supports_is_shrunk(monkeypatch):
+    # e and f have disjoint supports: D = E has nullity 2 and is shrunk
+    m = RepMatroid(F5, GFMatrix(F5, [[1, 0, 0, 0, 3, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 4],
+                                     [0, 0, 0, 1, 0, 1]]),
+                   ["b1", "b2", "b3", "b4", "e", "f"])
+    (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
+    assert stats.min_sym_pair == ("e", "f")
+    assert calls == [frozenset(m.labels)]
+    assert circ == {"b1", "b2", "e"}
+    _assert_circuit_by_brute_force(m, circ)
+    _assert_circuit_by_brute_force(m, circuit_of_dependent(m, m.labels))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_dichotomy_rejects_nonpositive_sample_counts(samples):
+    with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+        verify_dichotomy(clique(4, F2, dualize=True), 4, basis_mode="sample", samples=samples)

@@ -165,6 +165,22 @@ def test_hamming_sym_diff_sandwich():
             assert h <= d <= 2 * h
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_hamming_and_separation_match_column_counts(q):
+    for i in range(6):
+        m = random_matroid(2 + i % 3, 7 + i % 3, field_from_order(q), seed=950 + 10 * q + i)
+        sf, s = canonical_system(m)
+        col = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
+        pairs = list(combinations(sorted(s.labels), 2))
+        ham = {(e, f): sum(1 for x, y in zip(col[e], col[f]) if x != y) for e, f in pairs}
+        for (e, f), h in ham.items():
+            assert hamming_distance(s, e, f) == hamming_distance(s, f, e) == h
+        rep = separation(s)
+        assert (rep.min_hamming, rep.hamming_pair) == min((h, p) for p, h in ham.items())
+        assert (rep.sym_diff, rep.min_pair) == min((sym_diff_size(s, *p), p) for p in pairs)
+        assert rep.hamming == ham[rep.min_pair]
+
+
 def test_greedy_packing_delta_one_keeps_distinct():
     s = build_set_system(sf_from_a(2, [[1, 1, 0], [0, 0, 1]]))
     assert greedy_delta_packing(s, 1) == ["e1", "e3"]  # e2 duplicates e1
