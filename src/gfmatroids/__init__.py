@@ -81,6 +81,7 @@ from .pipeline import (
     density_ratio,
     find_short_circuit,
     packing_ratios,
+    short_circuit_sizes,
     verify_dichotomy,
 )
 

@@ -1,10 +1,10 @@
 """Dense matrices over GF(q): row reduction, span tests, standard form.
 
 Entries are stored row-major in a read-only numpy uint8 array of element
-codes; numpy is only the storage.  One Gauss-Jordan routine, on lists of
-rows and the field's operation tables, serves every reduction: it pivots on
-the columns the caller names, in order, each on the first row not yet used
-that is nonzero there, so every reduced form is reproducible.
+codes; numpy is only the storage.  One Gauss-Jordan step, `_pivot`, on
+lists of rows and the field's operation tables, serves every reduction: the
+caller names the columns, in order, and each pivots on the first row not
+yet used that is nonzero there, so every reduced form is reproducible.
 """
 
 from __future__ import annotations
@@ -107,37 +107,48 @@ def _rows_matrix(field: FieldSpec, rows: list, ncols: int) -> GFMatrix:
     return GFMatrix(field, rows) if rows else GFMatrix.zeros(field, 0, ncols)
 
 
+def _pivot(field: FieldSpec, rows: list, free: list[int], c: int) -> Optional[int]:
+    """One Gauss-Jordan step: pivot column `c` on the first row of `free`
+    (the rows without a pivot, in order) that is nonzero there.
+
+    That row leaves `free` and is scaled so the pivot is 1, and the column
+    is cleared in every other row.  Changed rows are replaced by new lists
+    and rows keep their places.  Returns the pivot row, or None (changing
+    nothing) when `c` is zero on every free row.
+    """
+    for k, r in enumerate(free):
+        if rows[r][c]:
+            break
+    else:
+        return None
+    del free[k]
+    sub_t, mul_t = field._sub, field._mul
+    prow = rows[r]
+    if prow[c] != 1:
+        mrow = mul_t[field._inv[prow[c]]]
+        prow = rows[r] = [mrow[y] for y in prow]
+    for i, row in enumerate(rows):
+        e = row[c]
+        if e and i != r:
+            mrow = mul_t[e]
+            rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
+    return r
+
+
 def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int, int]:
     """Gauss-Jordan elimination on `rows`, pivoting on `cols` in the given order.
 
-    Each column takes as pivot the first row not yet used that is nonzero
-    there; that row is scaled so the pivot is 1 and the column is cleared
-    in every other row.  Changed rows are replaced by new lists and rows
-    keep their places.  Returns {column: pivot row} in pivot order; a
-    column without a pivot is spanned by the pivot columns before it.
+    Each column is one `_pivot` step.  Returns {column: pivot row} in pivot
+    order; a column without a pivot is spanned by the pivot columns before it.
     """
-    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
-    free = list(range(len(rows)))  # rows without a pivot, in order
+    free = list(range(len(rows)))
     piv: dict[int, int] = {}
     for c in cols:
         if not free:
             break
-        for k, r in enumerate(free):
-            if rows[r][c]:
-                break
-        else:
-            continue
-        del free[k]
-        prow = rows[r]
-        if prow[c] != 1:
-            mrow = mul_t[inv_t[prow[c]]]
-            prow = rows[r] = [mrow[y] for y in prow]
-        for i, row in enumerate(rows):
-            e = row[c]
-            if e and i != r:
-                mrow = mul_t[e]
-                rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
-        piv[c] = r
+        r = _pivot(field, rows, free, c)
+        if r is not None:
+            piv[c] = r
     return piv
 
 

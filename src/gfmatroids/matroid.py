@@ -328,6 +328,12 @@ def bases(m: RepMatroid) -> list[tuple[str, ...]]:
     return _independent_subsets(m, m.rank)
 
 
+# `sample_bases` stops after this many draws in a row that find no new basis,
+# so a matroid with fewer bases than asked for is not drawn from 50 times per
+# basis asked for.
+SAMPLE_STALL_LIMIT = 1000
+
+
 def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
     """Seeded sample of distinct bases via greedy extension of shuffled orders."""
     rng = random.Random(seed)
@@ -336,9 +342,10 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
     cols, push = m._packed(), m._kernel.push
     seen: set[tuple[str, ...]] = set()
     out: list[tuple[str, ...]] = []
-    attempts = 0
-    while len(out) < count and attempts < 50 * max(count, 1):
+    attempts = stalled = 0
+    while len(out) < count and attempts < 50 * max(count, 1) and stalled < SAMPLE_STALL_LIMIT:
         attempts += 1
+        stalled += 1
         order = list(range(n))
         rng.shuffle(order)
         piv: dict = {}
@@ -352,6 +359,7 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
         if basis not in seen:
             seen.add(basis)
             out.append(basis)
+            stalled = 0
     return out
 
 

@@ -10,6 +10,14 @@ a_e and a_f share a nonzero entry, D has nullity 1 and is itself the
 circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
+
+The harness needs only the size of that circuit for every basis in scope,
+and the circuit itself for the worst one.  `short_circuit_sizes` sweeps
+the whole basis list once: it visits the bases in sorted column-index
+order over a stack of elimination states, so each basis costs only the
+pivots past the prefix it shares with the basis before it, and takes
+each size from packed column masks of A without building a set system.
+`verify_dichotomy` then runs `find_short_circuit` on one basis.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .gfmatrix import _standard_form_rows
+from .gfmatrix import NotABasisError, _pivot, _standard_form_rows
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -33,7 +41,10 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import _system_of_rows, greedy_delta_packing, separation, sym_diff_size
+from .setsystem import (
+    _closest_pairs, _column_masks, _system_of_rows, greedy_delta_packing, separation,
+    sym_diff_size,
+)
 from . import generators
 
 
@@ -108,6 +119,73 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
         source=source,
     )
     return best, stats
+
+
+def short_circuit_sizes(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> list[int]:
+    """`len(find_short_circuit(m, b)[0])` for each basis b in `basis_list`.
+
+    One sweep: the bases are visited in sorted column-index order over a
+    stack of elimination states, one per pivot of the current basis, so a
+    basis costs only the pivots past the prefix it shares with the basis
+    before it.  [I | A] is unique for a basis order, so A is the one
+    `standard_form` gives.  Raises NotABasisError, as `standard_form` does,
+    for an entry that is not a basis.
+    """
+    field, labels, n = m.field, m.labels, m.size
+    index = {l: j for j, l in enumerate(labels)}
+    keys = []
+    for b in basis_list:
+        b = set(b)
+        unknown = b - index.keys()
+        if unknown:
+            raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
+        keys.append(tuple(sorted(index[l] for l in b)))
+    by_label = sorted(range(n), key=labels.__getitem__)
+    rows = m._rows()
+    stack = [(rows, list(range(len(rows))))]  # (rows, free rows) after each pivot
+    pivots: list[int] = []  # pivot row of each column of `prev`, in order
+    prev: tuple[int, ...] = ()
+    sizes = [0] * len(keys)
+    for pos in sorted(range(len(keys)), key=keys.__getitem__):
+        cols = keys[pos]
+        k = 0
+        for x, y in zip(prev, cols):
+            if x != y:
+                break
+            k += 1
+        del stack[k + 1:], pivots[k:]
+        for c in cols[k:]:
+            rows, free = map(list, stack[-1])
+            r = _pivot(field, rows, free, c)
+            if r is None:
+                break
+            stack.append((rows, free))
+            pivots.append(r)
+        prev = cols
+        if len(pivots) != len(cols) or len(cols) != m.rank:
+            raise NotABasisError(f"columns {sorted(labels[j] for j in cols)} do not form a basis")
+        if len(cols) == n:
+            raise NoCircuitError("free matroid has no circuits")
+
+        # the pivot rows in basis order are the rows of A, kept over all columns
+        a_rows = [stack[-1][0][r] for r in pivots]
+        basis = set(cols)
+        nonbasis = [j for j in by_label if j not in basis]
+        members = [(labels[j],) + packed
+                   for j, packed in zip(nonbasis, _column_masks(field.q, a_rows, nonbasis))]
+        size = min(support.bit_count() for _, _, support in members) + 1
+        if len(members) >= 2:
+            (_, h, sym_pair), (min_h, ham_pair) = _closest_pairs(members)
+            for (e, f), dist in dict.fromkeys([(sym_pair, h), (ham_pair, min_h)]):
+                je, jf = index[e], index[f]
+                if any(row[je] == row[jf] != 0 for row in a_rows):
+                    # a shared nonzero entry: the closed form of find_short_circuit
+                    size = min(size, dist + 2)
+                else:
+                    differ = [labels[c] for c, row in zip(cols, a_rows) if row[je] != row[jf]]
+                    size = min(size, len(circuit_of_dependent(m, differ + [e, f])))
+        sizes[pos] = size
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -210,12 +288,10 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     if not basis_list:
         raise NoCircuitError("no bases found")
 
-    worst: Optional[tuple[frozenset[str], ShortCircuitStats, tuple[str, ...]]] = None
-    for b in basis_list:
-        circ, stats = find_short_circuit(m, b)
-        if worst is None or len(circ) > len(worst[0]):
-            worst = (circ, stats, tuple(b))
-    circ, stats, worst_basis = worst
+    # the first basis in list order whose short circuit is largest
+    sizes = short_circuit_sizes(m, basis_list)
+    worst_basis = tuple(basis_list[sizes.index(max(sizes))])
+    circ, stats = find_short_circuit(m, worst_basis)
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):

@@ -87,17 +87,27 @@ class SetSystem:
         return [p for i, p in enumerate(self.ground) if mask >> i & 1]
 
 
+def _column_masks(q: int, a_rows: Sequence[Sequence[int]], cols: Iterable[int]) -> list[tuple[int, int]]:
+    """(M_e, N_e) of each column index in `cols` of A over GF(q), given A by
+    rows, one row per basis element."""
+    per = q - 1
+    out = []
+    for j in cols:
+        mask = support = 0
+        for i, row in enumerate(a_rows):
+            v = row[j]
+            if v:
+                mask |= 1 << (i * per + v - 1)
+                support |= 1 << (i * per)
+        out.append((mask, support))
+    return out
+
+
 def _system_of_rows(field: FieldSpec, basis_order: tuple[str, ...],
                     nonbasis_order: tuple[str, ...], a_rows: Sequence[Sequence[int]]) -> SetSystem:
     """The set system of [I | A] given A by rows, one row per basis element."""
-    per = field.q - 1
-    masks = [0] * len(nonbasis_order)
-    for i, row in enumerate(a_rows):
-        base = i * per - 1
-        for j, v in enumerate(row):
-            if v:
-                masks[j] |= 1 << (base + v)
-    return SetSystem(field, basis_order, list(zip(nonbasis_order, masks)))
+    masks = _column_masks(field.q, a_rows, range(len(nonbasis_order)))
+    return SetSystem(field, basis_order, [(l, mask) for l, (mask, _) in zip(nonbasis_order, masks)])
 
 
 def build_set_system(sf: StandardForm) -> SetSystem:
@@ -199,7 +209,18 @@ def separation(s: SetSystem) -> SeparationReport:
         raise InsufficientFamilyError(
             f"separation needs >= 2 member sets, got {len(labels)}"
         )
-    members = [(l, s._by_label[l], s._support[l]) for l in labels]
+    (d, h, pair), (min_h, ham_pair) = _closest_pairs(
+        [(l, s._by_label[l], s._support[l]) for l in labels])
+    return SeparationReport(pair, d, h, d, ham_pair, min_h)
+
+
+def _closest_pairs(members: Sequence[tuple[str, int, int]]):
+    """The pair scan of `separation` over label-sorted (label, mask M_e,
+    row support N_e) triples, at least two of them.
+
+    Returns ((symmetric difference, its Hamming distance, pair), (Hamming
+    distance, pair)) for the closest pair by each measure.
+    """
     sym = ham = None
     # pairs come in lexicographic order, so a strict < keeps the first of ties
     for (e, me, ne), (f, mf, nf) in combinations(members, 2):
@@ -209,8 +230,7 @@ def separation(s: SetSystem) -> SeparationReport:
             sym = (d, h, (e, f))
         if ham is None or h < ham[0]:
             ham = (h, (e, f))
-    d, h, pair = sym
-    return SeparationReport(pair, d, h, d, ham[1], ham[0])
+    return sym, ham
 
 
 def greedy_delta_packing(s: SetSystem, delta: int) -> list[str]:

@@ -1,8 +1,11 @@
 import pytest
 
+import time
+
 from gfmatroids import (
     GFMatrix,
     NoCircuitError,
+    NotABasisError,
     NotCosimpleError,
     RepMatroid,
     bases,
@@ -20,6 +23,8 @@ from gfmatroids import (
     projective_geometry,
     random_matroid,
     rref,
+    sample_bases,
+    short_circuit_sizes,
     standard_form,
     uniform,
     verify_dichotomy,
@@ -83,8 +88,6 @@ def test_short_circuit_invariants_random():
 
 
 def test_short_circuit_graphic_is_cycle_with_few_nontree_edges():
-    from gfmatroids import sample_bases
-
     for gid in ("k4", "k5", "petersen", "cube"):
         m = graphic(named_graph(gid), F2)
         for basis in sample_bases(m, 6, seed=1):
@@ -206,8 +209,58 @@ def test_short_circuit_matches_reference_on_every_basis(q):
     for i in range(16):
         r = 2 + i % 4
         m = random_matroid(r, r + 2 + i % 5, f, seed=3100 + 100 * q + i)
+        refs = {}
         for basis in bases(m):
-            assert find_short_circuit(m, basis) == short_circuit_reference(m, basis)
+            refs[basis] = short_circuit_reference(m, basis)
+            assert find_short_circuit(m, basis) == refs[basis]
+        assert short_circuit_sizes(m, bases(m)) == [len(c) for c, _ in refs.values()]
+        # sampled bases come in draw order, not in the sweep's order
+        sampled = sample_bases(m, 8, seed=i)
+        assert short_circuit_sizes(m, sampled) == [len(refs[b][0]) for b in sampled]
+
+
+def test_short_circuit_sizes_with_more_rows_than_rank():
+    cube = graphic(named_graph("cube"), F2)
+    assert cube.matrix.rows == 8 and cube.rank == 7
+    sampled = sample_bases(cube, 60, seed=4)
+    key = lambda b: sorted(cube.labels.index(l) for l in b)
+    assert sorted(sampled, key=key) != sampled
+    assert short_circuit_sizes(cube, sampled) == [
+        len(short_circuit_reference(cube, b)[0]) for b in sampled
+    ]
+
+
+@pytest.mark.parametrize("bad", [["0-1", "0-2", "1-2"], ["0-1", "0-2"]],
+                         ids=["dependent", "not-spanning"])
+def test_short_circuit_sizes_rejects_a_non_basis(bad):
+    mk4 = clique(4, F2)
+    with pytest.raises(NotABasisError) as want:
+        standard_form(mk4.matrix, mk4.labels, bad)
+    with pytest.raises(NotABasisError) as got:
+        short_circuit_sizes(mk4, [["0-1", "0-2", "0-3"], bad])
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
+    m = RepMatroid(F3, GFMatrix(F3, [[0, 0, 0, 1, 0, 2, 2, 1], [1, 2, 0, 2, 0, 2, 2, 0],
+                                     [1, 2, 1, 2, 2, 1, 2, 1]]),
+                   [f"e{j}" for j in range(8)])
+    sampled = sample_bases(m, 4, seed=3)
+    # two bases tie at the largest size; the later one comes first in column order
+    assert sampled[1] == ("e5", "e6", "e7") and sampled[3] == ("e3", "e5", "e6")
+    assert short_circuit_sizes(m, sampled) == [2, 3, 2, 3]
+    rep = verify_dichotomy(m, 3, basis_mode="sample", samples=4, seed=3)
+    assert rep.basis == ("e5", "e6", "e7")
+    assert rep.circuit_size == 3
+    assert rep.circuit == tuple(sorted(find_short_circuit(m, rep.basis)[0]))
+
+
+def test_basis_sampling_stops_once_no_new_basis_is_found():
+    # M(K4) has 16 bases: the draws stop soon after the last one is found
+    start = time.perf_counter()
+    rep = verify_dichotomy(clique(4, F2), 3, basis_mode="sample", samples=10**6)
+    assert time.perf_counter() - start < 1.0
+    assert rep.bases_checked == 16
 
 
 def _assert_circuit_by_brute_force(m, circ):
@@ -237,6 +290,7 @@ def test_pair_sharing_a_nonzero_entry_is_its_own_circuit(monkeypatch):
                    ["b1", "b2", "b3", "b4", "e", "f"])
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f") and stats.source == "pair"
+    assert short_circuit_sizes(m, [["b1", "b2", "b3", "b4"]]) == [3]
     assert calls == []
     assert circ == {"b4", "e", "f"}
     _assert_circuit_by_brute_force(m, circ)
@@ -250,6 +304,8 @@ def test_pair_with_disjoint_supports_is_shrunk(monkeypatch):
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f")
     assert calls == [frozenset(m.labels)]
+    assert short_circuit_sizes(m, [["b1", "b2", "b3", "b4"]]) == [3]
+    assert calls == [frozenset(m.labels)] * 2
     assert circ == {"b1", "b2", "e"}
     _assert_circuit_by_brute_force(m, circ)
     _assert_circuit_by_brute_force(m, circuit_of_dependent(m, m.labels))
