@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldSpec
 from .gfmatrix import (
-    GFMatrix, _gauss_jordan, _rows_matrix, format_gfm, parse_gfm, rref, standard_form,
+    GFMatrix, _canonical_standard_form, _gauss_jordan, _rows_matrix, format_gfm, parse_gfm,
 )
 
 
@@ -368,9 +368,7 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
 
 def dual(m: RepMatroid) -> RepMatroid:
     """The dual matroid, via [-A^T | I] over the lexicographically first basis."""
-    rr = rref(m.matrix)
-    basis = [m.labels[j] for j in rr.pivot_cols]
-    sf = standard_form(m.matrix, m.labels, basis)
+    sf = _canonical_standard_form(m.matrix, m.labels)
     nb = len(sf.nonbasis_order)
     neg = m.field.neg
     col_map: dict[str, tuple[int, ...]] = {}

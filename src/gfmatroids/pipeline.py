@@ -1,23 +1,24 @@
 """Short-circuit extraction, the girth dichotomy harness, and density checks.
 
-Given a basis, the extractor reduces the matroid's cached rows to the
-standard form [I | A] once, builds its set system, and returns the smallest
-circuit among every fundamental circuit and one circuit for each of the
-closest column pairs (closest by symmetric difference and by Hamming
-distance, both found by one scan in `setsystem.separation`).  For a pair
+For a basis B the short circuit is the smallest among every fundamental
+circuit and one circuit for each of the closest non-basis column pairs of
+the standard form [I | A] (closest by symmetric difference and by Hamming
+distance, both found by one scan, `setsystem._closest_pairs`).  For a pair
 e, f let D be {e, f} plus the basis rows where a_e and a_f differ.  When
 a_e and a_f share a nonzero entry, D has nullity 1 and is itself the
 circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
-The harness needs only the size of that circuit for every basis in scope,
-and the circuit itself for the worst one.  `short_circuit_sizes` sweeps
-the whole basis list once: it visits the bases in sorted column-index
-order over a stack of elimination states, so each basis costs only the
-pivots past the prefix it shares with the basis before it, and takes
-each size from packed column masks of A without building a set system.
-`verify_dichotomy` then runs `find_short_circuit` on one basis.
+One extractor serves every caller.  `_sweep` visits a list of bases in
+sorted column-index order over a stack of elimination states, so each
+basis costs only the pivots past the prefix it shares with the basis
+before it, and hands on the rows of A.  `_short_circuits` takes those rows
+to packed column masks and finds the pair circuits of that one basis.
+`short_circuit_sizes` keeps only each basis's size; `find_short_circuit`
+sweeps its one basis and lists the circuits as label sets to pick the
+smallest.  The harness sizes every basis in scope, then runs
+`find_short_circuit` on the worst one.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .gfmatrix import NotABasisError, _pivot, _standard_form_rows
+from .gfmatrix import NotABasisError, _pivot
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -41,10 +42,7 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import (
-    _closest_pairs, _column_masks, _system_of_rows, greedy_delta_packing, separation,
-    sym_diff_size,
-)
+from .setsystem import _closest_pairs, _column_masks, greedy_delta_packing, sym_diff_size
 from . import generators
 
 
@@ -70,45 +68,25 @@ class ShortCircuitStats:
 
 
 def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[str], ShortCircuitStats]:
-    """Smallest circuit with at most two non-basis elements, w.r.t. `basis`."""
+    """Smallest circuit with at most two non-basis elements, w.r.t. `basis`.
+
+    Ties go to the smaller circuit by sorted labels, then to a fundamental
+    circuit over a pair circuit.
+    """
     basis = set(basis)
-    basis_order, nonbasis, a = _standard_form_rows(m.field, m._rows(), m.size, m.labels, basis)
-    if not nonbasis:
-        raise NoCircuitError("free matroid has no circuits")
-    # the columns of A; without basis rows every column is empty
-    a_col = dict(zip(nonbasis, list(zip(*a)) or [()] * len(nonbasis)))
-    candidates: list[tuple[int, tuple[str, ...], frozenset[str], str]] = []
-
-    best_fund = None
-    for e in sorted(nonbasis):
-        support = [b for b, x in zip(basis_order, a_col[e]) if x]
-        circ = frozenset(support) | {e}
+    ((_, cols, nonbasis, a_rows),) = _sweep(m, [basis])
+    members, closest, pairs = _short_circuits(m, cols, nonbasis, a_rows)
+    (min_sym, pair_ham, min_sym_pair), (min_ham, _) = closest
+    candidates = []
+    for e, _, _ in members:
+        je = m._index[e]
+        circ = frozenset(m.labels[c] for c, row in zip(cols, a_rows) if row[je]) | {e}
         candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
-        if best_fund is None or len(circ) < best_fund:
-            best_fund = len(circ)
-
-    min_sym = min_sym_pair = pair_ham = min_ham = None
-    if len(nonbasis) >= 2:
-        system = _system_of_rows(m.field, basis_order, nonbasis, a)
-        sep = separation(system)
-        min_sym, min_sym_pair, pair_ham = sep.sym_diff, sep.min_pair, sep.hamming
-        min_ham, ham_pair = sep.min_hamming, sep.hamming_pair
-        pairs_to_try = [min_sym_pair]
-        if ham_pair != min_sym_pair:
-            pairs_to_try.append(ham_pair)
-        for e, f in pairs_to_try:
-            rows_differ = [b for b, x, y in zip(basis_order, a_col[e], a_col[f]) if x != y]
-            dependent = frozenset(rows_differ) | {e, f}
-            if system.mask_of(e) & system.mask_of(f):
-                # a_e and a_f share a nonzero entry, so e is outside the span
-                # of the differing rows: `dependent` has nullity 1, and its one
-                # dependency e - f - sum (a_e - a_f)_b b has full support
-                circ = dependent
-            else:
-                circ = circuit_of_dependent(m, dependent)
-            candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
-
-    size, _, best, source = min(candidates)
+    best_fund = min(candidates)[0]
+    for _, (e, f), circ in pairs:
+        circ = frozenset(_pair_set(m, cols, a_rows, e, f) if circ is None else circ)
+        candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
+    _, _, best, source = min(candidates)
     stats = ShortCircuitStats(
         nonbasis_count=len(best - basis),
         min_sym_diff=min_sym,
@@ -122,30 +100,35 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
 
 
 def short_circuit_sizes(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> list[int]:
-    """`len(find_short_circuit(m, b)[0])` for each basis b in `basis_list`.
+    """`len(find_short_circuit(m, b)[0])` for each basis b in `basis_list`,
+    from one sweep; raises NotABasisError, as `standard_form` does, for an
+    entry that is not a basis."""
+    sizes = [0] * len(basis_list)
+    for pos, cols, nonbasis, a_rows in _sweep(m, basis_list):
+        members, _, pairs = _short_circuits(m, cols, nonbasis, a_rows)
+        sizes[pos] = min([support.bit_count() + 1 for _, _, support in members]
+                         + [size for size, _, _ in pairs])
+    return sizes
 
-    One sweep: the bases are visited in sorted column-index order over a
-    stack of elimination states, one per pivot of the current basis, so a
-    basis costs only the pivots past the prefix it shares with the basis
-    before it.  [I | A] is unique for a basis order, so A is the one
-    `standard_form` gives.  Raises NotABasisError, as `standard_form` does,
-    for an entry that is not a basis.
-    """
+
+def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> Iterator[tuple]:
+    """(position in `basis_list`, basis columns, label-sorted non-basis
+    columns, rows of A) for each basis, in sorted column-index order.  [I | A]
+    is unique for a basis order, so A is the one `standard_form` gives; its
+    rows here keep all of m's columns."""
     field, labels, n = m.field, m.labels, m.size
-    index = {l: j for j, l in enumerate(labels)}
     keys = []
     for b in basis_list:
         b = set(b)
-        unknown = b - index.keys()
+        unknown = b - m._index.keys()
         if unknown:
             raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
-        keys.append(tuple(sorted(index[l] for l in b)))
+        keys.append(tuple(sorted(m._index[l] for l in b)))
     by_label = sorted(range(n), key=labels.__getitem__)
     rows = m._rows()
     stack = [(rows, list(range(len(rows))))]  # (rows, free rows) after each pivot
     pivots: list[int] = []  # pivot row of each column of `prev`, in order
     prev: tuple[int, ...] = ()
-    sizes = [0] * len(keys)
     for pos in sorted(range(len(keys)), key=keys.__getitem__):
         cols = keys[pos]
         k = 0
@@ -166,26 +149,43 @@ def short_circuit_sizes(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> l
             raise NotABasisError(f"columns {sorted(labels[j] for j in cols)} do not form a basis")
         if len(cols) == n:
             raise NoCircuitError("free matroid has no circuits")
-
-        # the pivot rows in basis order are the rows of A, kept over all columns
-        a_rows = [stack[-1][0][r] for r in pivots]
         basis = set(cols)
-        nonbasis = [j for j in by_label if j not in basis]
-        members = [(labels[j],) + packed
-                   for j, packed in zip(nonbasis, _column_masks(field.q, a_rows, nonbasis))]
-        size = min(support.bit_count() for _, _, support in members) + 1
-        if len(members) >= 2:
-            (_, h, sym_pair), (min_h, ham_pair) = _closest_pairs(members)
-            for (e, f), dist in dict.fromkeys([(sym_pair, h), (ham_pair, min_h)]):
-                je, jf = index[e], index[f]
-                if any(row[je] == row[jf] != 0 for row in a_rows):
-                    # a shared nonzero entry: the closed form of find_short_circuit
-                    size = min(size, dist + 2)
-                else:
-                    differ = [labels[c] for c, row in zip(cols, a_rows) if row[je] != row[jf]]
-                    size = min(size, len(circuit_of_dependent(m, differ + [e, f])))
-        sizes[pos] = size
-    return sizes
+        # the pivot rows in basis order are the rows of A
+        yield pos, cols, [j for j in by_label if j not in basis], [stack[-1][0][r] for r in pivots]
+
+
+def _short_circuits(m: RepMatroid, cols: tuple[int, ...], nonbasis: list[int], a_rows: list):
+    """(members, closest, pairs) of one basis, given its columns, the other
+    columns in label order and the rows of A.  Members are the (label, mask
+    M_e, row support N_e) triples of the other columns; a fundamental
+    circuit is a row support plus its column.  `closest` is their
+    `_closest_pairs`, all None with fewer than two.  Each distinct closest
+    pair gives (circuit size, pair, circuit), the circuit None when it is
+    the pair's whole `_pair_set`."""
+    labels, index = m.labels, m._index
+    members = [(labels[j],) + packed
+               for j, packed in zip(nonbasis, _column_masks(m.field.q, a_rows, nonbasis))]
+    if len(members) < 2:
+        return members, ((None,) * 3, (None,) * 2), []
+    closest = (_, h, sym_pair), (min_h, ham_pair) = _closest_pairs(members)
+    pairs = []
+    for (e, f), dist in dict.fromkeys([(sym_pair, h), (ham_pair, min_h)]):
+        je, jf = index[e], index[f]
+        if any(row[je] == row[jf] != 0 for row in a_rows):
+            # a_e and a_f share a nonzero entry, so e is outside the span of
+            # the differing rows: the pair set has nullity 1, and its one
+            # dependency e - f - sum (a_e - a_f)_b b has full support
+            pairs.append((dist + 2, (e, f), None))
+        else:
+            circ = circuit_of_dependent(m, _pair_set(m, cols, a_rows, e, f))
+            pairs.append((len(circ), (e, f), circ))
+    return members, closest, pairs
+
+
+def _pair_set(m: RepMatroid, cols: tuple[int, ...], a_rows: list, e: str, f: str) -> list[str]:
+    """D for the pair e, f: the basis rows where a_e and a_f differ, then e, f."""
+    je, jf = m._index[e], m._index[f]
+    return [m.labels[c] for c, row in zip(cols, a_rows) if row[je] != row[jf]] + [e, f]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .gf import FieldSpec
-from .gfmatrix import StandardForm, rref, standard_form
+from .gfmatrix import StandardForm, _canonical_standard_form
 
 
 class InsufficientFamilyError(ValueError):
@@ -103,22 +103,16 @@ def _column_masks(q: int, a_rows: Sequence[Sequence[int]], cols: Iterable[int]) 
     return out
 
 
-def _system_of_rows(field: FieldSpec, basis_order: tuple[str, ...],
-                    nonbasis_order: tuple[str, ...], a_rows: Sequence[Sequence[int]]) -> SetSystem:
-    """The set system of [I | A] given A by rows, one row per basis element."""
-    masks = _column_masks(field.q, a_rows, range(len(nonbasis_order)))
-    return SetSystem(field, basis_order, [(l, mask) for l, (mask, _) in zip(nonbasis_order, masks)])
-
-
 def build_set_system(sf: StandardForm) -> SetSystem:
-    return _system_of_rows(sf.field, sf.basis_order, sf.nonbasis_order, sf.a.row_tuples())
+    masks = _column_masks(sf.field.q, sf.a.row_tuples(), range(len(sf.nonbasis_order)))
+    return SetSystem(sf.field, sf.basis_order,
+                     [(l, mask) for l, (mask, _) in zip(sf.nonbasis_order, masks)])
 
 
 def canonical_system(m) -> tuple[StandardForm, SetSystem]:
     """Standard form of a matroid over its lexicographically first basis
     (the pivot columns of its rref), and the set system of that form."""
-    basis = [m.labels[j] for j in rref(m.matrix).pivot_cols]
-    sf = standard_form(m.matrix, m.labels, basis)
+    sf = _canonical_standard_form(m.matrix, m.labels)
     return sf, build_set_system(sf)
 
 

@@ -230,15 +230,22 @@ def test_short_circuit_sizes_with_more_rows_than_rank():
     ]
 
 
-@pytest.mark.parametrize("bad", [["0-1", "0-2", "1-2"], ["0-1", "0-2"]],
-                         ids=["dependent", "not-spanning"])
-def test_short_circuit_sizes_rejects_a_non_basis(bad):
+@pytest.mark.parametrize("bad, error", [(["0-1", "0-2", "1-2"], NotABasisError),
+                                        (["0-1", "0-2"], NotABasisError),
+                                        (["0-1", "0-2", "x", "3-9"], ValueError)],
+                         ids=["dependent", "not-spanning", "unknown-label"])
+def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
     mk4 = clique(4, F2)
-    with pytest.raises(NotABasisError) as want:
+    with pytest.raises(error) as want:
         standard_form(mk4.matrix, mk4.labels, bad)
-    with pytest.raises(NotABasisError) as got:
+    with pytest.raises(error) as got:
         short_circuit_sizes(mk4, [["0-1", "0-2", "0-3"], bad])
-    assert str(got.value) == str(want.value)
+    with pytest.raises(error) as got_one:
+        find_short_circuit(mk4, bad)
+    assert want.type is got.type is got_one.type is error
+    assert str(got.value) == str(got_one.value) == str(want.value)
+    if error is ValueError:
+        assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
 
 def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
