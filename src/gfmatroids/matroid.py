@@ -10,6 +10,12 @@ nonzero residue and returns the key, so a search undoes the step with
 columns are int bitmasks reduced word-parallel, other fields use tuples of
 element codes.  Each matroid caches its columns in the kernel's form.
 
+Isomorphism profiles are read from a family of independent sets held as
+bitmasks.  A deletion's independent sets are its parent's that miss the
+deleted elements, so the minor search enumerates each contraction m/C
+once and reads the profile of every candidate (m/C)\\D from it by one
+mask test per set.
+
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
 """
@@ -472,40 +478,50 @@ def is_circuit(m: RepMatroid, s: Iterable[str]) -> bool:
 # -- isomorphism -----------------------------------------------------------------
 
 
+def _independent_masks(kern: _Kernel, cols: Sequence) -> list[int]:
+    """Every independent set of the columns as a bitmask, bit j for column j."""
+    n, r = len(cols), _rank(kern, cols)
+    push = kern.push
+    out: list[int] = []
+    piv: dict = {}
+
+    def rec(start: int, depth: int, mask: int) -> None:
+        out.append(mask)
+        if depth == r:
+            return  # a basis: every further column is in its span
+        for j in range(start, n):
+            key = push(piv, cols[j])
+            if key is not None:
+                rec(j + 1, depth + 1, mask | 1 << j)
+                del piv[key]
+
+    rec(0, 0, 0)
+    return out
+
+
 class _Profile:
-    """Label-free fingerprint: the independent sets as bitmasks, the rank,
-    the basis count, and per element the number of independent sets and of
-    bases holding it; those per-element pairs prune the bijection search."""
+    """Label-free fingerprint of a matroid, read from its independent sets
+    given as bitmasks, and the bit of each of its elements: the rank, the
+    basis count, and per element the number of independent sets and of
+    bases holding it; those per-element pairs prune the bijection search.
 
-    def __init__(self, kern: _Kernel, cols: Sequence):
-        n = len(cols)
-        r = _rank(kern, cols)
-        indep: set[int] = set()
-        in_indep, in_bases = [0] * n, [0] * n
-        push = kern.push
-        piv: dict = {}
+    The bits need not be 1, 2, 4, ...: the independent sets of a deletion
+    are those of the whole matroid that miss the deleted elements, so a
+    deletion's profile comes from its parent's sets by one mask test each.
+    """
 
-        def rec(start: int, depth: int, mask: int) -> tuple[int, int]:
-            # (independent sets, bases) at or below this node; every set that
-            # holds j lies below exactly one node where j was pushed
-            indep.add(mask)
-            if depth == r:
-                return 1, 1
-            sets, found = 1, 0
-            for j in range(start, n):
-                key = push(piv, cols[j])
-                if key is not None:
-                    s, b = rec(j + 1, depth + 1, mask | (1 << j))
-                    del piv[key]
-                    in_indep[j] += s
-                    in_bases[j] += b
-                    sets += s
-                    found += b
-            return sets, found
+    def __init__(self, indep: Sequence[int], bits: Sequence[int]):
+        r = max(map(int.bit_count, indep))
+        maximal = [s for s in indep if s.bit_count() == r]
+        self.n, self.rank, self.n_bases, self.bits = len(bits), r, len(maximal), bits
+        self.indep = set(indep)
+        self.inv = [
+            (sum(1 for s in indep if s & b), sum(1 for s in maximal if s & b)) for b in bits
+        ]
 
-        _, self.n_bases = rec(0, 0, 0)
-        self.n, self.rank, self.indep = n, r, indep
-        self.inv = list(zip(in_indep, in_bases))
+    @classmethod
+    def of(cls, kern: _Kernel, cols: Sequence) -> _Profile:
+        return cls(_independent_masks(kern, cols), [1 << j for j in range(len(cols))])
 
 
 def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
@@ -519,16 +535,17 @@ def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
     cand = {i: [j for j in range(n) if pb.inv[j] == pa.inv[i]] for i in range(n)}
     used = [False] * n
     a_ind, b_ind = pa.indep, pb.indep
+    a_bits, b_bits = pa.bits, pb.bits
 
     def rec(k: int, pairs: list[tuple[int, int]]) -> bool:
         if k == n:
             return True
         ai = order[k]
-        abit = 1 << ai
+        abit = a_bits[ai]
         for bj in cand[ai]:
             if used[bj]:
                 continue
-            bbit = 1 << bj
+            bbit = b_bits[bj]
             new = []
             ok = True
             for ma, mb in pairs:
@@ -554,18 +571,44 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
     if a.size > ISOMORPHISM_LIMIT:
         raise TooLargeError(f"isomorphism limited to {ISOMORPHISM_LIMIT} elements (|E| = {a.size})")
     return _match_profiles(
-        _Profile(a._kernel, a._packed()), _Profile(b._kernel, b._packed())
+        _Profile.of(a._kernel, a._packed()), _Profile.of(b._kernel, b._packed())
     )
 
 
 # -- minor containment -------------------------------------------------------------
 
 
-def _class_screen(ids: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Loop count and sorted parallel-class sizes, from `_class_ids` values."""
-    counts = Counter(ids)
-    loops = counts.pop(0, 0)
-    return loops, tuple(sorted(counts.values()))
+def _class_masks(m: RepMatroid) -> tuple[int, list[int]]:
+    """The mask of m's loops and of each parallel class of two or more
+    elements, bit j for column j."""
+    masks: dict[int, int] = {}
+    for j, cid in enumerate(_class_ids(m)):
+        masks[cid] = masks.get(cid, 0) | 1 << j
+    loops = masks.pop(0, 0)
+    return loops, [c for c in masks.values() if c & (c - 1)]
+
+
+def _dependent_masks(kern: _Kernel, cols: Sequence, size: int) -> list[int]:
+    """Dependent sets of at most `size` columns as bitmasks, among them every
+    circuit that small: each independent set of fewer than `size` columns,
+    extended by a later column in its span."""
+    n = len(cols)
+    push = kern.push
+    out: list[int] = []
+    piv: dict = {}
+
+    def rec(start: int, depth: int, mask: int) -> None:
+        for j in range(start, n):
+            key = push(piv, cols[j])
+            if key is None:
+                out.append(mask | 1 << j)
+                continue
+            if depth + 1 < size:
+                rec(j + 1, depth + 1, mask | 1 << j)
+            del piv[key]
+
+    rec(0, 0, 0)
+    return out
 
 
 def _codeword_supports(m: RepMatroid) -> list[int]:
@@ -622,7 +665,11 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
 
     Only independent contract sets C of size rank(m) - rank(target) are
     enumerated (every minor admits such a presentation).  A candidate
-    (m/C)\\D must pass cheap screens before the full isomorphism test:
+    (m/C)\\D is a deletion of the contraction m/C, so its loops, parallel
+    classes, short circuits and independent sets are those of m/C that
+    miss D.  Each is listed once per C as bitmasks over m/C's elements,
+    and a candidate reads its own by one mask test each.  It must pass
+    cheap screens before the full isomorphism test:
 
     - Codeword weights, when m's cycle space has at most as many
       1-dimensional subspaces as the target has independent sets (then
@@ -630,11 +677,15 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       are listed once.  As C is independent, the cycle space of (m/C)\\D is
       one to one with m's codewords that vanish on D, restricted to
       E - C - D, so bitmask tests give the candidate's weight counts before
-      its minor is built.  They must equal the target's over m's field,
-      which the target's rank function gives, whatever its own field.
-    - Loop count and parallel-class sizes.
+      m/C is built.  They must equal the target's over m's field, which
+      the target's rank function gives, whatever its own field.
+    - Loop count and parallel-class sizes, from m/C's loop and class masks.
     - Without the weight screen, no circuit shorter than the target's
-      girth; the weights already fix the girth.
+      girth, from m/C's dependent sets that small; the weights already
+      fix the girth.
+    - The number of independent sets.  The first candidate of C to get
+      here enumerates m/C's independent sets, once; each candidate keeps
+      those that miss D, and its isomorphism profile is read from them.
 
     Screens only reject, so the witness is the first in canonical order.
     """
@@ -650,10 +701,12 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     if r_diff < 0 or d_count < 0:
         return None
     t_cols = target._packed()
-    t_profile = _Profile(target._kernel, t_cols)
-    t_screen = _class_screen(_class_ids(target))
+    t_profile = _Profile.of(target._kernel, t_cols)
+    t_count = len(t_profile.indep)
+    loops, classes = _class_masks(target)
+    t_loops, t_classes = loops.bit_count(), sorted(c.bit_count() for c in classes)
     supports = t_girth = None
-    if (q ** (n - m.rank) - 1) // (q - 1) <= len(t_profile.indep):
+    if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
         supports = _codeword_supports(m)
         t_counts = _weight_counts(target, q)
         # per element, a mask over codeword indices: the codewords whose support holds it
@@ -662,6 +715,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
         t_girth = _min_dependent_size(target._kernel, t_cols, target.size)
     kern = m._kernel
     nb = n - r_diff  # size of each contraction m/C
+    dmasks = [sum(1 << j for j in didx) for didx in itertools.combinations(range(nb), d_count)]
     for cset in _independent_subsets(m, r_diff):
         if supports is not None:
             # group the codewords by their weight outside C; a candidate keeps
@@ -677,8 +731,8 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                 for w in sorted(by_weight.keys() | t_counts.keys())
             ]
             rest_hits = [hits[j] for j in range(n) if j not in cidx]
-        base = None
-        for didx in itertools.combinations(range(nb), d_count):
+        base = family = None
+        for didx, dmask in zip(itertools.combinations(range(nb), d_count), dmasks):
             if supports is not None:
                 gone = 0
                 for j in didx:
@@ -687,16 +741,27 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                     continue
             if base is None:
                 base = minor(m, delete=(), contract=cset)
-                bcols, bids = base._packed(), _class_ids(base)
-            drop = set(didx)
-            keep = [j for j in range(nb) if j not in drop]
-            cand = [bcols[j] for j in keep]
-            if _class_screen([bids[j] for j in keep]) != t_screen:
+                bcols = base._packed()
+                loops, classes = _class_masks(base)
+                short = []
+                if t_girth is not None and t_girth > 3:
+                    short = _dependent_masks(kern, bcols, t_girth - 1)
+            if (loops & ~dmask).bit_count() != t_loops:
                 continue
-            if t_girth is not None and t_girth > 3:
-                if _min_dependent_size(kern, cand, t_girth - 1) is not None:
-                    continue
-            if _match_profiles(_Profile(kern, cand), t_profile):
+            # both sides have target.size elements and as many loops, so the
+            # classes of two or more fix the count of single ones
+            sizes = [c for c in [(p & ~dmask).bit_count() for p in classes] if c > 1]
+            if sorted(sizes) != t_classes:
+                continue
+            if any(not s & dmask for s in short):
+                continue
+            if family is None:
+                family = _independent_masks(kern, bcols)
+            indep = [s for s in family if not s & dmask]
+            if len(indep) != t_count:
+                continue
+            bits = [1 << j for j in range(nb) if not dmask >> j & 1]
+            if _match_profiles(_Profile(indep, bits), t_profile):
                 dels = frozenset(base.labels[j] for j in didx)
                 return (dels, frozenset(cset))
     return None

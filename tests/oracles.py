@@ -3,9 +3,11 @@
 These deliberately avoid the library's elimination kernels: independence is
 checked by enumerating coefficient combinations, field arithmetic by
 schoolbook polynomial work on digit lists, and graph facts by BFS or
-networkx.  Keep them slow and obvious.  `short_circuit_reference` is the
-one exception: it runs the library's own kernels the long way, as the
-reference for the short-circuit extractor.
+networkx.  Keep them slow and obvious.  Two oracles read the library's
+`subset_rank` and say so: `brute_minor`, which checks minors by the rank
+formula for contraction, and `short_circuit_reference`, which runs the
+library's own kernels the long way, as the reference for the short-circuit
+extractor.
 """
 
 from __future__ import annotations
@@ -55,6 +57,36 @@ def brute_isomorphic(q, add, mul, cols_a, cols_b) -> bool:
         all(rank_a[s] == rank_b[tuple(sorted(perm[j] for j in s))] for s in subsets)
         for perm in permutations(range(n))
     )
+
+
+def brute_minor(m, target) -> bool:
+    """Some (delete, contract) pair and label bijection makes a minor of m
+    with the target's rank function.
+
+    Contraction goes by the rank formula r_{M/C}(S) = r_M(S + C) - r_M(C)
+    over every contract set C, dependent ones included, and isomorphism by
+    trying every bijection; ranks come from the library's `subset_rank`.
+    """
+    from gfmatroids import subset_rank
+
+    tl = target.labels
+    t_subsets = [S for size in range(len(tl) + 1) for S in combinations(tl, size)]
+    t_ranks = {S: subset_rank(target, S) for S in t_subsets}
+    for csize in range(m.size - target.size + 1):
+        for cset in combinations(m.labels, csize):
+            r_c = subset_rank(m, cset)
+            rest_pool = [l for l in m.labels if l not in cset]
+            dsize = m.size - target.size - csize
+            for dset in combinations(rest_pool, dsize):
+                rest = [l for l in rest_pool if l not in dset]
+                for perm in permutations(rest):
+                    mapping = dict(zip(tl, perm))
+                    if all(
+                        subset_rank(m, {mapping[x] for x in S} | set(cset)) - r_c == t_ranks[S]
+                        for S in t_subsets
+                    ):
+                        return True
+    return False
 
 
 # -- schoolbook polynomial arithmetic over GF(p) ----------------------------------

@@ -37,9 +37,12 @@ from gfmatroids import (
     uniform,
 )
 from gfmatroids.generators import Graph
-from gfmatroids.matroid import _Profile, _codeword_supports, _weight_counts
+from gfmatroids.matroid import (
+    _Profile, _codeword_supports, _dependent_masks, _independent_masks, _match_profiles,
+    _weight_counts,
+)
 
-from oracles import graph_girth_oracle, edge_connectivity_oracle
+from oracles import brute_minor, graph_girth_oracle, edge_connectivity_oracle
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -324,13 +327,56 @@ def test_bijection_search_decides_between_equal_profiles():
     # per-element pairs agree, and only the pairwise check can tell them apart
     hexagon = _cycles_of_lines(5, (6,))
     triangles = _cycles_of_lines(0, (3, 3))
-    pa, pb = (_Profile(m._kernel, m._packed()) for m in (hexagon, triangles))
+    pa, pb = (_Profile.of(m._kernel, m._packed()) for m in (hexagon, triangles))
     assert (pa.n, pa.rank, pa.n_bases, len(pa.indep)) == (pb.n, pb.rank, pb.n_bases, len(pb.indep))
     assert sorted(pa.inv) == sorted(pb.inv)
     assert not is_isomorphic(hexagon, triangles)
     rng = random.Random(3)
     for m in (hexagon, triangles):
         assert is_isomorphic(m, _relabelled_copy(m, rng))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_filtered_profile_agrees_with_the_minor_built_outright(q):
+    # has_minor reads the profile of a candidate (m/C)\D from the
+    # independent sets of m/C that miss D, by mask; build the minor instead
+    from oracles import brute_isomorphic, field_ops_oracle
+
+    f = field_from_order(q)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    rng = random.Random(900 + q)
+    answers = []
+    for i in range(40):
+        n = rng.randint(2, 10)
+        m = random_matroid(rng.randint(1, n), n, f, seed=9000 + 100 * q + i)
+        basis = sample_bases(m, 1, seed=i)[0]
+        cset = set(rng.sample(basis, rng.randint(0, len(basis))))  # independent
+        rest = [l for l in m.labels if l not in cset]
+        if not rest:
+            continue
+        dset = set(rest) - set(rng.sample(rest, rng.randint(1, len(rest))))
+        base = minor(m, contract=cset)
+        dmask = sum(1 << j for j, l in enumerate(base.labels) if l in dset)
+        filtered = _Profile(
+            [s for s in _independent_masks(base._kernel, base._packed()) if not s & dmask],
+            [1 << j for j, l in enumerate(base.labels) if l not in dset],
+        )
+        cand = minor(m, delete=dset, contract=cset)
+        built = _Profile.of(cand._kernel, cand._packed())
+        assert (filtered.n, filtered.rank, filtered.n_bases, len(filtered.indep)) == (
+            built.n, built.rank, built.n_bases, len(built.indep)
+        ), i
+        assert sorted(filtered.inv) == sorted(built.inv), i
+        if cand.size > 4:
+            continue  # the brute-force oracle tries q^k combinations per k-subset
+        if i % 2:
+            other = _relabelled_copy(cand, rng)
+        else:
+            other = random_matroid(cand.rank, cand.size, f, seed=9500 + 100 * q + i)
+        expected = brute_isomorphic(q, add, mul, cand.matrix.col_tuples(), other.matrix.col_tuples())
+        assert _match_profiles(filtered, _Profile.of(other._kernel, other._packed())) == expected, i
+        answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_search_limits_are_not_options():
@@ -391,9 +437,18 @@ _PETERSEN = graphic(named_graph("petersen"), F2)
     (random_matroid(7, 11, F2, seed=8), dual(clique(4, F2)), ({"e5"}, {"e0", "e1", "e2", "e9"}), True),
     (random_matroid(7, 12, F2, seed=3), clique(4, F2), None, True),
     (random_matroid(8, 13, F2, seed=4), clique(4, F3), ({"e4", "e9"}, {"e0", "e1", "e2", "e3", "e8"}), True),
+    (random_matroid(5, 11, F4, seed=3), clique(4, F4), ({"e3", "e5", "e10"}, {"e1", "e2"}), False),
+    (random_matroid(7, 10, F4, seed=1), clique(4, F4), None, True),
+    (random_matroid(7, 10, F4, seed=3), dual(clique(4, F4)), (set(), {"e0", "e2", "e6", "e8"}), True),
+    (random_matroid(3, 10, F4, seed=3), dual(clique(4, F4)), None, False),
+    (random_matroid(7, 10, F5, seed=2), clique(4, F5), (set(), {"e2", "e3", "e7", "e9"}), True),
+    (random_matroid(3, 11, F5, seed=1), clique(4, F5), None, False),
+    (random_matroid(7, 11, F5, seed=3), dual(clique(4, F5)), ({"e4"}, {"e0", "e3", "e7", "e10"}), False),
+    (random_matroid(7, 10, F5, seed=4), dual(clique(4, F5)), None, True),
 ], ids=["pg_2_2-mk4", "petersen-mk5", "mk5-mk4", "pg_2_3-mk4", "u36-u24@gf5", "u35-u24@gf4",
         "mk5-u24@gf3", "petersen-mk5dual", "gf2_10-mk4", "gf2_11-mk4dual", "gf2_11b-mk4dual",
-        "gf2_12-mk4", "gf2_13-mk4@gf3"])
+        "gf2_12-mk4", "gf2_13-mk4@gf3", "gf4_11-mk4", "gf4_10-mk4", "gf4_10-mk4dual",
+        "gf4_10b-mk4dual", "gf5_10-mk4", "gf5_11-mk4", "gf5_11-mk4dual", "gf5_10-mk4dual"])
 def test_has_minor_first_witness_is_pinned(m, target, witness, filtered):
     # the first witness in canonical order, as recorded from an earlier
     # implementation; `filtered` pins whether has_minor screens by codeword
@@ -451,41 +506,14 @@ def test_has_minor_witness_is_sound():
     assert is_isomorphic(minor(m, delete=dels, contract=cons), target)
 
 
-def _minor_oracle(m, target):
-    # independent route: contract by the rank formula r_{M/C}(S) = r_M(S+C) - r_M(C),
-    # test isomorphism by brute-force permutation of rank functions
-    from itertools import permutations
-
-    tl = target.labels
-    t_subsets = [S for size in range(len(tl) + 1) for S in combinations(tl, size)]
-    t_ranks = {S: subset_rank(target, S) for S in t_subsets}
-    for csize in range(m.size - target.size + 1):
-        for cset in combinations(m.labels, csize):
-            r_c = subset_rank(m, cset)
-            rest_pool = [l for l in m.labels if l not in cset]
-            dsize = m.size - target.size - csize
-            if dsize < 0:
-                continue
-            for dset in combinations(rest_pool, dsize):
-                rest = [l for l in rest_pool if l not in dset]
-                for perm in permutations(rest):
-                    mapping = dict(zip(tl, perm))
-                    if all(
-                        subset_rank(m, {mapping[x] for x in S} | set(cset)) - r_c == t_ranks[S]
-                        for S in t_subsets
-                    ):
-                        return True
-    return False
-
-
 def test_has_minor_agrees_with_rank_formula_oracle():
     rng = random.Random(0)
-    for trial in range(8):
-        q = (2, 3)[trial % 2]
+    for trial in range(12):
+        q = (2, 3)[trial % 2] if trial < 8 else (4, 5)[trial % 2]
         f = field_from_order(q)
         m = random_matroid(rng.randint(2, 3), 6, f, seed=7000 + trial)
         t = random_matroid(rng.randint(1, 2), 3, f, seed=7100 + trial)
-        assert (has_minor(m, t) is not None) == _minor_oracle(m, t)
+        assert (has_minor(m, t) is not None) == brute_minor(m, t)
         dels = set(rng.sample(m.labels, 2))
         cons = set(rng.sample([l for l in m.labels if l not in dels], 1))
         assert has_minor(m, minor(m, delete=dels, contract=cons)) is not None
@@ -493,7 +521,35 @@ def test_has_minor_agrees_with_rank_formula_oracle():
     mk4_gf3 = clique(4, F3)
     u24 = uniform(2, 4, F5)
     assert has_minor(mk4_gf3, u24) is None
-    assert not _minor_oracle(mk4_gf3, u24)
+    assert not brute_minor(mk4_gf3, u24)
+
+
+def test_has_minor_girth_screen_agrees_with_rank_formula_oracle():
+    # U_{3,5} has girth 4 and few independent sets, so these searches skip the
+    # weight screen and reject the candidates that hold a 3-circuit by girth
+    u35 = uniform(3, 5, F5)
+    answers = []
+    for seed in (1, 6):
+        m = random_matroid(3, 7, F5, seed=seed)
+        answers.append(has_minor(m, u35) is not None)
+        assert answers[-1] == brute_minor(m, u35), seed
+    assert answers == [True, False]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_dependent_masks_cover_every_small_dependent_set(q):
+    f = field_from_order(q)
+    for seed in range(6):
+        m = random_matroid(2 + seed % 4, 8, f, seed=5000 + 10 * q + seed)
+        for size in (1, 2, 3, 4):
+            masks = _dependent_masks(m._kernel, m._packed(), size)
+            for s in range(1 << m.size):
+                if s.bit_count() > size:
+                    continue
+                labels = [l for j, l in enumerate(m.labels) if s >> j & 1]
+                dependent = subset_rank(m, labels) < len(labels)
+                assert any(not d & ~s for d in masks) == dependent, (seed, size, s)
+                assert (s in masks) <= dependent
 
 
 def test_girth_of_dual_equals_min_cocircuit_size():
