@@ -41,16 +41,14 @@ def _edge_labels(edges: Sequence[tuple[int, int]]) -> list[str]:
     return out
 
 
-def graphic(g: Graph, f: FieldSpec, labels: Optional[Sequence[str]] = None) -> RepMatroid:
+def graphic(g: Graph, f: FieldSpec) -> RepMatroid:
     """Signed incidence matrix: edge (u,v) with u < v gets +1 at u and -1 at v.
 
     Rows are the vertices with a non-loop edge, in vertex order; any other
     vertex would give a zero row, so the matrix size follows the edges, not
-    g.n.  Over GF(2) the signs collapse; loops become zero columns.  Edge
-    labels default to "u-v" (with "#k" suffixes for parallel copies).
+    g.n.  Over GF(2) the signs collapse; loops become zero columns.  Edges
+    are labelled "u-v" (with "#k" suffixes for parallel copies).
     """
-    if labels is None:
-        labels = _edge_labels(g.edges)
     touched = sorted({x for u, v in g.edges if u != v for x in (u, v)})
     row_of = {x: i for i, x in enumerate(touched)}
     cols = []
@@ -61,7 +59,7 @@ def graphic(g: Graph, f: FieldSpec, labels: Optional[Sequence[str]] = None) -> R
             col[row_of[min(u, v)]] = 1
             col[row_of[max(u, v)]] = neg_one
         cols.append(tuple(col))
-    return RepMatroid(f, GFMatrix.from_cols(f, cols, len(row_of)), labels)
+    return RepMatroid(f, GFMatrix.from_cols(f, cols, len(row_of)), _edge_labels(g.edges))
 
 
 def complete_graph(t: int) -> Graph:
@@ -190,7 +188,7 @@ def random_matroid(rank: int, elements: int, f: FieldSpec, seed: int) -> RepMatr
     labels = [f"e{j}" for j in range(elements)]
     for _ in range(64):
         rows = [[rng.randrange(f.q) for _ in range(elements)] for _ in range(rank)]
-        m = RepMatroid(f, GFMatrix(f, rows) if rank else GFMatrix.zeros(f, 0, elements), labels)
+        m = RepMatroid(f, GFMatrix(f, rows, elements), labels)
         if m.rank == rank:
             return m
     raise ValueError(

@@ -1,8 +1,9 @@
 """Dense matrices over GF(q): row reduction, span tests, standard form.
 
-Entries are stored row-major in a read-only numpy uint8 array of element
-codes; numpy is only the storage.  One Gauss-Jordan step, `_pivot`, on
-lists of rows and the field's operation tables, serves every reduction: the
+Entries are stored as a tuple of row tuples of element codes, the form
+every kernel reads; numpy only backs the read-only `GFMatrix.data` array,
+built on demand.  One Gauss-Jordan step, `_pivot`, on lists of rows and
+the field's operation tables, serves every reduction: the
 caller names the columns, in order, and each pivots on the first row not
 yet used that is nonzero there, so every reduced form is reproducible.
 """
@@ -26,73 +27,78 @@ class GfmParseError(ValueError):
 
 
 class GFMatrix:
-    """Immutable dense matrix over a FieldSpec."""
+    """Immutable dense matrix over a FieldSpec, stored as a tuple of row tuples.
 
-    __slots__ = ("field", "data")
+    `data` is any 2-D sequence of element codes (lists, tuples, a numpy
+    array).  `cols`, the width, is needed only when there are no rows
+    (default 0); otherwise it must agree with the rows.
+    """
 
-    def __init__(self, field: FieldSpec, data):
-        raw = np.array(data, dtype=np.int64)
-        if raw.ndim != 2:
-            raise ValueError(f"matrix data must be 2-D, got shape {raw.shape}")
-        if raw.size and (int(raw.min()) < 0 or int(raw.max()) >= field.q):
-            bad = int(raw.min()) if int(raw.min()) < 0 else int(raw.max())
-            raise ValueError(f"entry {bad} out of range for GF({field.q})")
-        arr = raw.astype(np.uint8)
-        arr.flags.writeable = False
+    __slots__ = ("field", "_rows", "cols")
+
+    def __init__(self, field: FieldSpec, data, cols: Optional[int] = None):
+        try:
+            rows = tuple(tuple(map(int, row)) for row in data)
+        except TypeError:
+            raise ValueError("matrix data must be 2-D") from None
+        widths = {len(row) for row in rows}
+        if cols is not None:
+            widths.add(cols)
+        if len(widths) > 1:
+            raise ValueError(f"matrix data must be 2-D, got rows of {sorted(widths)} entries")
+        if rows and rows[0]:
+            lo, hi = min(map(min, rows)), max(map(max, rows))
+            if lo < 0 or hi >= field.q:
+                raise ValueError(f"entry {lo if lo < 0 else hi} out of range for GF({field.q})")
         self.field = field
-        self.data = arr
+        self._rows = rows
+        self.cols = widths.pop() if widths else 0
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "GFMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.uint8))
+        return cls(field, [(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "GFMatrix":
-        return cls(field, np.eye(n, dtype=np.uint8))
+        return cls(field, [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence[int]], rows: int) -> "GFMatrix":
-        arr = np.zeros((rows, len(cols)), dtype=np.int64)
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                arr[i, j] = v
-        return cls(field, arr)
+        return cls(field, cols, rows).transpose()
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return len(self._rows)
 
     @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+    def data(self):
+        """The entries as a read-only numpy uint8 array, built on each read."""
+        arr = np.array(self._rows, dtype=np.uint8).reshape(self.rows, self.cols)
+        arr.flags.writeable = False
+        return arr
 
     def col_tuples(self) -> list[tuple[int, ...]]:
-        if not self.rows:
-            return [()] * self.cols
-        return list(zip(*self.data.tolist()))
+        return list(zip(*self._rows)) if self._rows else [()] * self.cols
 
-    def row_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.data.tolist()]
+    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows
 
     def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.field, self.data.T.copy())
+        return GFMatrix(self.field, self.col_tuples(), self.rows)
 
     def take_cols(self, idx: Iterable[int]) -> "GFMatrix":
-        return GFMatrix(self.field, self.data[:, list(idx)].copy())
+        idx = list(idx)
+        return GFMatrix(self.field, [[row[j] for j in idx] for row in self._rows], len(idx))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GFMatrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return (isinstance(other, GFMatrix)
+                and (self.field, self.cols, self._rows) == (other.field, other.cols, other._rows))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.data.shape, self.data.tobytes()))
+        return hash((self.field, self.cols, self._rows))
 
     def __repr__(self) -> str:
-        return f"GFMatrix({self.field!r}, {self.data.tolist()})"
+        return f"GFMatrix({self.field!r}, {[list(row) for row in self._rows]})"
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,6 @@ class RrefResult:
     matrix: GFMatrix
     rank: int
     pivot_cols: tuple[int, ...]
-
-
-def _rows_matrix(field: FieldSpec, rows: list, ncols: int) -> GFMatrix:
-    """GFMatrix of a list of rows; no rows still gives `ncols` columns."""
-    return GFMatrix(field, rows) if rows else GFMatrix.zeros(field, 0, ncols)
 
 
 def _pivot(field: FieldSpec, rows: list, free: list[int], c: int) -> Optional[int]:
@@ -154,11 +155,11 @@ def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int
 
 def rref(m: GFMatrix) -> RrefResult:
     """Reduced row echelon form.  Zero rows are retained in the output."""
-    rows = m.data.tolist()
+    rows = list(m.row_tuples())
     piv = _gauss_jordan(m.field, rows, range(m.cols))
     # every column was offered a pivot, so the rows without one are zero
-    out = [rows[r] for r in piv.values()] + [[0] * m.cols] * (m.rows - len(piv))
-    return RrefResult(_rows_matrix(m.field, out, m.cols), len(piv), tuple(piv))
+    out = [rows[r] for r in piv.values()] + [(0,) * m.cols] * (m.rows - len(piv))
+    return RrefResult(GFMatrix(m.field, out, m.cols), len(piv), tuple(piv))
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,10 @@ class StandardForm:
 
     def assemble(self) -> tuple[GFMatrix, tuple[str, ...]]:
         """Rebuild the full [I | A] matrix with its column labels."""
-        r = len(self.basis_order)
-        eye = np.eye(r, dtype=np.uint8)
-        full = np.hstack([eye, self.a.data]) if self.a.cols else eye
-        return GFMatrix(self.field, full), self.basis_order + self.nonbasis_order
+        eye = GFMatrix.identity(self.field, len(self.basis_order))
+        full = [e + a for e, a in zip(eye.row_tuples(), self.a.row_tuples())]
+        return (GFMatrix(self.field, full, eye.cols + self.a.cols),
+                self.basis_order + self.nonbasis_order)
 
 
 def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:
@@ -198,7 +199,7 @@ def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> S
     nonbasis_order = tuple(l for l in labels if l not in basis)
     index = {l: j for j, l in enumerate(labels)}
     perm = [index[l] for l in basis_order] + [index[l] for l in nonbasis_order]
-    work = [[row[j] for j in perm] for row in m.data.tolist()]
+    work = [[row[j] for j in perm] for row in m.row_tuples()]
     piv = _gauss_jordan(m.field, work, range(m.cols))
     # pivots span all columns, so len(piv) is the full matrix rank; a
     # basis must claim exactly those pivots within its own column block
@@ -207,7 +208,7 @@ def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> S
         raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
     a = [work[r][nb:] for r in piv.values()]
     return StandardForm(m.field, basis_order, nonbasis_order,
-                        _rows_matrix(m.field, a, len(nonbasis_order)))
+                        GFMatrix(m.field, a, len(nonbasis_order)))
 
 
 def _canonical_standard_form(m: GFMatrix, labels: Sequence[str]) -> StandardForm:
@@ -218,9 +219,9 @@ def _canonical_standard_form(m: GFMatrix, labels: Sequence[str]) -> StandardForm
     rr = rref(m)
     pivots = set(rr.pivot_cols)
     rest = [j for j in range(m.cols) if j not in pivots]
+    a = [[row[j] for j in rest] for row in rr.matrix.row_tuples()[:rr.rank]]
     return StandardForm(m.field, tuple(labels[j] for j in rr.pivot_cols),
-                        tuple(labels[j] for j in rest),
-                        GFMatrix(m.field, rr.matrix.data[:rr.rank, rest]))
+                        tuple(labels[j] for j in rest), GFMatrix(m.field, a, len(rest)))
 
 
 def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -232,7 +233,7 @@ def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tupl
         raise ValueError(f"vector length {len(v)} != {m.rows} rows")
     cols = list(cols)
     aug = [[row[c] for c in cols] + [m.field.check(int(x))]
-           for row, x in zip(m.data.tolist(), v)]
+           for row, x in zip(m.row_tuples(), v)]
     piv = _gauss_jordan(m.field, aug, range(len(cols) + 1))
     if len(cols) in piv:
         return None
@@ -324,7 +325,7 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
                 )
             row.append(val)
         rows.append(row)
-    return field, _rows_matrix(field, rows, ncols), labels
+    return field, GFMatrix(field, rows, ncols), labels
 
 
 def format_gfm(field: FieldSpec, m: GFMatrix, labels: Optional[Sequence[str]] = None) -> str:
@@ -334,6 +335,5 @@ def format_gfm(field: FieldSpec, m: GFMatrix, labels: Optional[Sequence[str]] = 
     out = [head]
     if labels is not None:
         out.append("labels " + " ".join(labels))
-    for i in range(m.rows):
-        out.append(" ".join(str(int(x)) for x in m.data[i]))
+    out += [" ".join(map(str, row)) for row in m.row_tuples()]
     return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldSpec
 from .gfmatrix import (
-    GFMatrix, _canonical_standard_form, _gauss_jordan, _rows_matrix, format_gfm, parse_gfm,
+    GFMatrix, _canonical_standard_form, _gauss_jordan, format_gfm, parse_gfm,
 )
 
 
@@ -69,7 +69,6 @@ class RepMatroid:
         self.labels = labels
         self._index = {l: j for j, l in enumerate(labels)}
         self._kernel = _kernel(field)
-        self._rows_cache: Optional[list[tuple[int, ...]]] = None
         self._cols_cache: Optional[list[tuple[int, ...]]] = None
         self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
@@ -83,11 +82,6 @@ class RepMatroid:
         if self._rank_cache is None:
             self._rank_cache = _rank(self._kernel, self._packed())
         return self._rank_cache
-
-    def _rows(self) -> list[tuple[int, ...]]:
-        if self._rows_cache is None:
-            self._rows_cache = self.matrix.row_tuples()
-        return self._rows_cache
 
     def _cols(self) -> list[tuple[int, ...]]:
         if self._cols_cache is None:
@@ -396,14 +390,14 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     overlap = delete & contract
     if overlap:
         raise ValueError(f"delete and contract overlap: {sorted(overlap)}")
-    rows = m.matrix.row_tuples()
+    rows = list(m.matrix.row_tuples())
     piv = _gauss_jordan(m.field, rows, [m._index[l] for l in sorted(contract)])
     # pivot rows leave with their contracted columns; a contract column
     # without a pivot depends on earlier ones and is deleted
     used = set(piv.values())
     keep_cols = [j for j, l in enumerate(m.labels) if l not in delete and l not in contract]
     new = [[row[j] for j in keep_cols] for i, row in enumerate(rows) if i not in used]
-    matrix = _rows_matrix(m.field, new, len(keep_cols))
+    matrix = GFMatrix(m.field, new, len(keep_cols))
     return RepMatroid(m.field, matrix, tuple(m.labels[j] for j in keep_cols))
 
 

@@ -125,7 +125,7 @@ def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> Iterator[tuple
             raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
         keys.append(tuple(sorted(m._index[l] for l in b)))
     by_label = sorted(range(n), key=labels.__getitem__)
-    rows = m._rows()
+    rows = m.matrix.row_tuples()
     stack = [(rows, list(range(len(rows))))]  # (rows, free rows) after each pivot
     pivots: list[int] = []  # pivot row of each column of `prev`, in order
     prev: tuple[int, ...] = ()
@@ -275,7 +275,6 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     cert = cosimple_certificate(m)
     if cert is not None:
         raise NotCosimpleError(cert)
-    g = girth(m)
 
     if basis_mode == "all" and m.size <= ALL_BASES_LIMIT:
         basis_list = bases(m)
@@ -292,6 +291,9 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     sizes = short_circuit_sizes(m, basis_list)
     worst_basis = tuple(basis_list[sizes.index(max(sizes))])
     circ, stats = find_short_circuit(m, worst_basis)
+    # every size is that of a real circuit, so this cutoff never binds: the
+    # girth stays exact, and no size guard applies
+    g = girth(m, cutoff=min(sizes))
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):

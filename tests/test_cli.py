@@ -221,6 +221,14 @@ def test_verify_mk4_dual(capsys):
     ]
 
 
+def test_verify_past_the_girth_limit_exits_0(capsys):
+    code, rep = run_json(capsys, "verify", "gen:mcgee@gf2", "--t", "5", "--basis", "sample:5")
+    assert code == 0
+    assert rep["girth"] == 7
+    assert rep["bases"] == {"mode": "sample:5", "checked": 5}
+    assert [f["status"] for f in rep["minors"]] == ["skipped", "skipped"]
+
+
 def test_minor_found_and_absent(capsys):
     code, rep = run_json(capsys, "minor", "gen:mk4", "--target", "gen:mk3")
     assert code == 0 and rep["found"]

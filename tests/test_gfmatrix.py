@@ -2,15 +2,22 @@ import ast
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gfmatroids
 from gfmatroids import (
     GFMatrix,
     NotABasisError,
+    RepMatroid,
+    dual,
     field_from_order,
+    format_gfm,
     in_span,
+    minor,
+    parse_gfm,
     rref,
+    simplify,
     standard_form,
 )
 
@@ -171,6 +178,73 @@ def test_entry_range_validation():
     f = field_from_order(3)
     with pytest.raises(ValueError):
         GFMatrix(f, [[0, 3]])
+
+
+def test_rank_zero_matrix_keeps_its_width_through_every_layer():
+    text = "gfm q=3 rows=0 cols=3\nlabels a b c\n"
+    f, mat, labels = parse_gfm(text)
+    assert (mat.rows, mat.cols) == (0, 3)
+    assert mat.col_tuples() == [(), (), ()]
+    m = RepMatroid(f, mat, labels)
+    d = dual(m)  # three coloops
+    assert (d.matrix.rows, d.matrix.cols, d.rank) == (3, 3, 3)
+    assert dual(d).matrix == mat
+    assert simplify(d).matrix == d.matrix
+    assert simplify(m).size == 0
+    assert minor(m, delete={"a"}).matrix == GFMatrix.zeros(f, 0, 2)
+    assert minor(d, contract={"a"}).matrix == GFMatrix.identity(f, 2)
+    rr = rref(mat)
+    assert rr.matrix == mat and rr.rank == 0
+    sf = standard_form(mat, labels, ())
+    assert (sf.a.rows, sf.a.cols) == (0, 3)
+    assert sf.assemble() == (mat, labels)
+    assert format_gfm(f, mat, labels) == text
+    assert format_gfm(f, dual(d).matrix, labels) == text
+    assert format_gfm(f, sf.assemble()[0], labels) == text
+
+
+def test_numpy_list_and_tuple_input_give_equal_matrices():
+    f = field_from_order(5)
+    rows = [[1, 0, 4], [0, 3, 2]]
+    built = [
+        GFMatrix(f, rows),
+        GFMatrix(f, tuple(map(tuple, rows))),
+        GFMatrix(f, np.array(rows, dtype=np.uint8)),
+        GFMatrix(f, np.array(rows, dtype=np.int64)),
+        GFMatrix(f, rows, 3),
+    ]
+    assert all(m == built[0] for m in built)
+    assert len({hash(m) for m in built}) == 1
+    assert built[0].row_tuples() == ((1, 0, 4), (0, 3, 2))
+    assert built[0] != GFMatrix(field_from_order(7), rows)
+    assert GFMatrix.zeros(f, 0, 2) != GFMatrix.zeros(f, 0, 3)
+    assert GFMatrix(f, []) == GFMatrix.zeros(f, 0, 0)
+
+
+@pytest.mark.parametrize("data, cols", [
+    ([1, 0, 1], None),
+    (np.array([1, 0, 1]), None),
+    ([[[1], [0]]], None),
+    (np.zeros((2, 2, 2), dtype=np.uint8), None),
+    ([[1, 0], [1]], None),
+    ([[1, 0], [1, 1]], 3),
+], ids=["1-D list", "1-D array", "3-D list", "3-D array", "ragged", "width disagrees"])
+def test_input_that_is_not_2d_raises(data, cols):
+    with pytest.raises(ValueError, match="must be 2-D"):
+        GFMatrix(field_from_order(2), data, cols)
+
+
+def test_data_is_a_read_only_uint8_view_of_the_rows():
+    f = field_from_order(251)
+    m = GFMatrix(f, [[250, 0, 7], [1, 2, 3]])
+    arr = m.data
+    assert arr.dtype == np.uint8 and arr.shape == (2, 3)
+    assert not arr.flags.writeable
+    assert [tuple(int(x) for x in row) for row in arr] == list(m.row_tuples())
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1
+    assert GFMatrix.zeros(f, 0, 4).data.shape == (0, 4)
+    assert GFMatrix.zeros(f, 2, 0).data.shape == (2, 0)
 
 
 def test_only_gfmatrix_imports_numpy():

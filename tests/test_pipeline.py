@@ -31,8 +31,11 @@ from gfmatroids import (
 )
 from gfmatroids import generators, pipeline
 from gfmatroids.generators import Graph
+from gfmatroids.matroid import GIRTH_LIMIT
 
-from oracles import brute_rank, field_ops_oracle, is_graph_cycle, short_circuit_reference
+from oracles import (
+    brute_rank, field_ops_oracle, graph_girth_oracle, is_graph_cycle, short_circuit_reference,
+)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -139,6 +142,18 @@ def test_verify_dichotomy_sampled_mode():
     assert rep.bases_checked == 5
     assert rep.basis_mode == "sample:5"
     assert rep.nonbasis_count <= 2
+    assert [f.status for f in rep.minors] == ["skipped", "skipped"]
+
+
+def test_verify_dichotomy_past_the_girth_limit_reports_exact_girth():
+    # McGee has 36 elements: girth without a cutoff refuses it, and the
+    # report must degrade only its minor findings
+    mcgee = from_id("mcgee@gf2")
+    assert mcgee.size > GIRTH_LIMIT
+    rep = verify_dichotomy(mcgee, 5, basis_mode="sample", samples=5)
+    g = named_graph("mcgee")
+    assert rep.girth == graph_girth_oracle(g.n, g.edges) == 7
+    assert rep.circuit_size >= rep.girth
     assert [f.status for f in rep.minors] == ["skipped", "skipped"]
 
 
