@@ -81,7 +81,6 @@ from .pipeline import (
     density_ratio,
     find_short_circuit,
     packing_ratios,
-    short_circuit_sizes,
     verify_dichotomy,
 )
 

@@ -22,6 +22,7 @@ deterministic: the first witness in canonical enumeration order wins.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -633,13 +634,15 @@ def _codeword_supports(m: RepMatroid) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
     """{weight: count} of the 1-dimensional subspaces of the cycle space of
     any GF(q) representation of m, from its rank function alone.
 
     The cycle-space vectors with support inside T number q^(|T| - r(T));
     inclusion-exclusion over the subsets of each support leaves those of
-    exact weight w (Greene's theorem).
+    exact weight w (Greene's theorem).  Cached, as minor targets recur:
+    the counts depend on q, not on m's own field.
     """
     n = m.size
     by_size = [0] * (n + 1)  # sum of q^(|T| - r(T)) over the T of each size
@@ -652,6 +655,18 @@ def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
         if vectors:
             counts[w] = vectors // (q - 1)
     return counts
+
+
+@functools.lru_cache(maxsize=16)
+def _target_screens(target: RepMatroid) -> tuple[_Profile, int, list[int], Optional[int]]:
+    """The target's side of every minor screen: its isomorphism profile,
+    loop count, sorted sizes of its parallel classes of two or more, and
+    girth.  Cached, as the same targets recur across calls."""
+    t_cols = target._packed()
+    loops, classes = _class_masks(target)
+    return (_Profile.of(target._kernel, t_cols), loops.bit_count(),
+            sorted(c.bit_count() for c in classes),
+            _min_dependent_size(target._kernel, t_cols, target.size))
 
 
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
@@ -681,6 +696,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       here enumerates m/C's independent sets, once; each candidate keeps
       those that miss D, and its isomorphism profile is read from them.
 
+    The target's side of each screen is built once per target and cached.
     Screens only reject, so the witness is the first in canonical order.
     """
     if m.size > ENUMERATION_LIMIT:
@@ -694,19 +710,15 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_cols = target._packed()
-    t_profile = _Profile.of(target._kernel, t_cols)
+    t_profile, t_loops, t_classes, t_girth = _target_screens(target)
     t_count = len(t_profile.indep)
-    loops, classes = _class_masks(target)
-    t_loops, t_classes = loops.bit_count(), sorted(c.bit_count() for c in classes)
-    supports = t_girth = None
+    supports = None
     if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
         supports = _codeword_supports(m)
         t_counts = _weight_counts(target, q)
         # per element, a mask over codeword indices: the codewords whose support holds it
         hits = [sum(1 << i for i, s in enumerate(supports) if s >> e & 1) for e in range(n)]
-    else:
-        t_girth = _min_dependent_size(target._kernel, t_cols, target.size)
+        t_girth = None
     kern = m._kernel
     nb = n - r_diff  # size of each contraction m/C
     dmasks = [sum(1 << j for j in didx) for didx in itertools.combinations(range(nb), d_count)]

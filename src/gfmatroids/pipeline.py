@@ -15,19 +15,28 @@ sorted column-index order over a stack of elimination states, so each
 basis costs only the pivots past the prefix it shares with the basis
 before it, and hands on the rows of A.  `_short_circuits` takes those rows
 to packed column masks and finds the pair circuits of that one basis.
-`short_circuit_sizes` keeps only each basis's size; `find_short_circuit`
-sweeps its one basis and lists the circuits as label sets to pick the
-smallest.  The harness sizes every basis in scope, then runs
-`find_short_circuit` on the worst one.
+`find_short_circuit` sweeps its one basis and lists the circuits as label
+sets to pick the smallest.
+
+The harness needs only the worst basis: the first in list order whose
+short circuit is largest.  `_worst_basis` finds it in one sweep with two
+upper bounds, as a short circuit is at most any fundamental circuit.  A
+known fundamental circuit of an earlier basis that has one element
+outside a basis is one of that basis's own, so the basis may be passed
+over before its pivots; the smallest fundamental circuit, read from A,
+may spare a pivoted basis its pair scan.  The harness then runs
+`find_short_circuit` on the one worst basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from itertools import combinations, compress
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .gf import FieldSpec
 from .gfmatrix import NotABasisError, _pivot
 from .matroid import (
     MINOR_TARGET_LIMIT,
@@ -99,23 +108,54 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
     return best, stats
 
 
-def short_circuit_sizes(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> list[int]:
-    """`len(find_short_circuit(m, b)[0])` for each basis b in `basis_list`,
-    from one sweep; raises NotABasisError, as `standard_form` does, for an
-    entry that is not a basis."""
-    sizes = [0] * len(basis_list)
-    for pos, cols, nonbasis, a_rows in _sweep(m, basis_list):
-        members, _, pairs = _short_circuits(m, cols, nonbasis, a_rows)
-        sizes[pos] = min([support.bit_count() + 1 for _, _, support in members]
-                         + [size for size, _, _ in pairs])
-    return sizes
+def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[int, int]:
+    """(position, size) of the first basis in `basis_list` whose short
+    circuit is largest, sizing as few bases as it can.
+
+    A short circuit is at most the smallest fundamental circuit, so a basis
+    whose bound is below the best size so far, or equal to it with the basis
+    later in the list, cannot be the answer.  The bound is read from A before
+    the pair scan.  Before the pivots, a known fundamental circuit C of an
+    earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and bounds
+    B.  A pruned entry is never checked to be a basis, so callers pass lists
+    from `bases` or `sample_bases`.
+    """
+    bit = [1 << j for j in range(m.size)]
+    full = (1 << m.size) - 1
+    known: list[set[int]] = [set() for _ in range(m.rank + 2)]  # circuit masks by size
+    best = (0, 0)  # (size, -position) of the answer so far
+
+    def pruned(pos: int, cols: tuple[int, ...]) -> bool:
+        outside = full ^ sum(map(bit.__getitem__, cols))
+        for size in range(1, len(known)):
+            if (size, -pos) >= best:
+                break
+            for c in known[size]:
+                x = c & outside
+                if not x & (x - 1):
+                    return True
+        return False
+
+    for pos, cols, nonbasis, a_rows in _sweep(m, basis_list, pruned):
+        a_cols = list(zip(*a_rows)) if a_rows else [()] * m.size  # rank 0: all loops
+        sizes = [len(cols) + 1 - a_cols[j].count(0) for j in nonbasis]
+        for j, size in zip(nonbasis, sizes):
+            known[size].add(bit[j] | sum(map(bit.__getitem__, compress(cols, a_cols[j]))))
+        bound = min(sizes)
+        if (bound, -pos) < best:
+            continue
+        _, _, pairs = _short_circuits(m, cols, nonbasis, a_rows)
+        best = max(best, (min([bound] + [size for size, _, _ in pairs]), -pos))
+    return -best[1], best[0]
 
 
-def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> Iterator[tuple]:
+def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]],
+           skip: Optional[Callable[[int, tuple[int, ...]], bool]] = None) -> Iterator[tuple]:
     """(position in `basis_list`, basis columns, label-sorted non-basis
     columns, rows of A) for each basis, in sorted column-index order.  [I | A]
     is unique for a basis order, so A is the one `standard_form` gives; its
-    rows here keep all of m's columns."""
+    rows here keep all of m's columns.  A basis for which `skip(position,
+    columns)` holds is passed over unpivoted and unchecked."""
     field, labels, n = m.field, m.labels, m.size
     keys = []
     for b in basis_list:
@@ -131,6 +171,8 @@ def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> Iterator[tuple
     prev: tuple[int, ...] = ()
     for pos in sorted(range(len(keys)), key=keys.__getitem__):
         cols = keys[pos]
+        if skip is not None and skip(pos, cols):
+            continue
         k = 0
         for x, y in zip(prev, cols):
             if x != y:
@@ -259,6 +301,12 @@ class DichotomyReport:
         }
 
 
+@lru_cache(maxsize=16)
+def _clique(t: int, field: FieldSpec, dualize: bool) -> RepMatroid:
+    # the harness's minor targets, built once per field and t
+    return generators.clique(t, field, dualize=dualize)
+
+
 # `all` basis enumeration is only attempted up to this many elements; larger
 # instances fall back to seeded sampling, and the report says which ran.
 ALL_BASES_LIMIT = 14
@@ -272,6 +320,8 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     the worst case over the bases in scope: the largest of the per-basis
     minimum short circuits.
     """
+    if t < 2:
+        raise ValueError(f"clique needs t >= 2, got {t}")
     cert = cosimple_certificate(m)
     if cert is not None:
         raise NotCosimpleError(cert)
@@ -287,23 +337,22 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     if not basis_list:
         raise NoCircuitError("no bases found")
 
-    # the first basis in list order whose short circuit is largest
-    sizes = short_circuit_sizes(m, basis_list)
-    worst_basis = tuple(basis_list[sizes.index(max(sizes))])
+    pos, worst = _worst_basis(m, basis_list)
+    worst_basis = tuple(basis_list[pos])
     circ, stats = find_short_circuit(m, worst_basis)
-    # every size is that of a real circuit, so this cutoff never binds: the
-    # girth stays exact, and no size guard applies
-    g = girth(m, cutoff=min(sizes))
+    # the girth is at most every short circuit, so this cutoff never binds:
+    # the search stops at the girth, and no size guard applies
+    g = girth(m, cutoff=worst)
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):
         # M(K_t) and its dual have C(t, 2) elements: skip a target has_minor
         # would refuse before building it
-        if t > 1 and math.comb(t, 2) > MINOR_TARGET_LIMIT:
+        if math.comb(t, 2) > MINOR_TARGET_LIMIT:
             findings.append(MinorFinding(tid, "skipped"))
             continue
         try:
-            witness = has_minor(m, generators.clique(t, m.field, dualize=dualize))
+            witness = has_minor(m, _clique(t, m.field, dualize))
         except TooLargeError:
             findings.append(MinorFinding(tid, "skipped"))
             continue

@@ -208,6 +208,18 @@ def test_verify_bridge_rejected_with_certificate(tmp_path, capsys):
     assert rep["certificate"]["elements"]
 
 
+def test_verify_t_below_2_exits_2(tmp_path, capsys):
+    code, rep = run_json(capsys, "verify", "gen:mk4@gf2", "--t", "1")
+    assert code == 2
+    assert rep["error"]["message"] == "clique needs t >= 2, got 1"
+    # t is checked before cosimplicity, so a non-cosimple input exits 2, not 1
+    graph = tmp_path / "path.graph"
+    graph.write_text("graph n=3 m=2\n0 1\n1 2\n")
+    code, rep = run_json(capsys, "verify", f"{graph}@gf2", "--t", "1")
+    assert code == 2
+    assert rep["error"]["message"] == "clique needs t >= 2, got 1"
+
+
 def test_verify_mk4_dual(capsys):
     code, rep = run_json(capsys, "verify", "gen:mk4_dual", "--t", "4")
     assert code == 0

@@ -19,6 +19,7 @@ from gfmatroids import (
     rref,
     simplify,
     standard_form,
+    verify_dichotomy,
 )
 
 from oracles import brute_rank, field_ops_oracle
@@ -201,6 +202,9 @@ def test_rank_zero_matrix_keeps_its_width_through_every_layer():
     assert format_gfm(f, mat, labels) == text
     assert format_gfm(f, dual(d).matrix, labels) == text
     assert format_gfm(f, sf.assemble()[0], labels) == text
+    # three loops: A has no rows, and every short circuit is a single loop
+    rep = verify_dichotomy(m, 3)
+    assert (rep.girth, rep.circuit, rep.bases_checked) == (1, ("a",), 1)
 
 
 def test_numpy_list_and_tuple_input_give_equal_matrices():

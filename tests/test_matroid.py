@@ -36,6 +36,7 @@ from gfmatroids import (
     subset_rank,
     uniform,
 )
+from gfmatroids import matroid
 from gfmatroids.generators import Graph
 from gfmatroids.matroid import (
     _Profile, _codeword_supports, _dependent_masks, _independent_masks, _match_profiles,
@@ -460,6 +461,28 @@ def test_has_minor_first_witness_is_pinned(m, target, witness, filtered):
     if witness is not None:
         witness = tuple(frozenset(x) for x in witness)
     assert has_minor(m, target) == witness
+
+
+@pytest.mark.parametrize("m, build", [
+    (_PETERSEN, lambda: clique(5, F2)),
+    (projective_geometry(3, F3), lambda: clique(4, F3)),
+], ids=["petersen-mk5", "pg_2_3-mk4"])
+def test_has_minor_witness_is_the_same_on_a_cached_and_a_fresh_target(m, build):
+    # the target's screens are cached by value: an equal target built anew
+    # reads them from the cache and gets the same first witness
+    matroid._target_screens.cache_clear()
+    matroid._weight_counts.cache_clear()
+    cached = build()
+    first = has_minor(m, cached)
+    assert first is not None
+    assert matroid._target_screens.cache_info().hits == 0
+    fresh = build()
+    assert fresh is not cached and fresh == cached
+    assert has_minor(m, fresh) == first
+    assert matroid._target_screens.cache_info().hits == 1
+    # Petersen has few codewords, so its search also reads the target's weights
+    weights = matroid._weight_counts.cache_info()
+    assert (weights.misses, weights.hits) == ((1, 1) if m.field.q == 2 else (0, 0))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -24,7 +24,6 @@ from gfmatroids import (
     random_matroid,
     rref,
     sample_bases,
-    short_circuit_sizes,
     standard_form,
     uniform,
     verify_dichotomy,
@@ -182,6 +181,16 @@ def test_verify_dichotomy_rejects_t_below_2(t):
         verify_dichotomy(clique(4, F2), t)
 
 
+def test_verify_dichotomy_rejects_t_below_2_before_any_other_work(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("called before t was checked")
+
+    for name in ("cosimple_certificate", "bases", "sample_bases", "_worst_basis"):
+        monkeypatch.setattr(pipeline, name, unexpected)
+    with pytest.raises(ValueError, match="clique needs t >= 2, got 1"):
+        verify_dichotomy(clique(4, F2), 1)
+
+
 def test_density_ratio_goldens():
     d = density_ratio(projective_geometry(3, F2))
     assert (d.elements, d.rank) == (7, 3)
@@ -218,6 +227,10 @@ def test_packing_ratios_shape():
     assert all(r["ratio"] == r["size"] * r["delta"] / len(sf.basis_order) for r in rows)
 
 
+def _first_worst(sizes):
+    return sizes.index(max(sizes)), max(sizes)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_short_circuit_matches_reference_on_every_basis(q):
     f = field_from_order(q)
@@ -228,10 +241,12 @@ def test_short_circuit_matches_reference_on_every_basis(q):
         for basis in bases(m):
             refs[basis] = short_circuit_reference(m, basis)
             assert find_short_circuit(m, basis) == refs[basis]
-        assert short_circuit_sizes(m, bases(m)) == [len(c) for c, _ in refs.values()]
-        # sampled bases come in draw order, not in the sweep's order
-        sampled = sample_bases(m, 8, seed=i)
-        assert short_circuit_sizes(m, sampled) == [len(refs[b][0]) for b in sampled]
+        # sampled bases come in draw order, not in the sweep's order; each
+        # list reversed puts another basis first among those that tie
+        for basis_list in (bases(m), sample_bases(m, 8, seed=i)):
+            for ordered in (basis_list, basis_list[::-1]):
+                assert pipeline._worst_basis(m, ordered) == _first_worst(
+                    [len(refs[b][0]) for b in ordered])
 
 
 def test_short_circuit_sizes_with_more_rows_than_rank():
@@ -240,9 +255,8 @@ def test_short_circuit_sizes_with_more_rows_than_rank():
     sampled = sample_bases(cube, 60, seed=4)
     key = lambda b: sorted(cube.labels.index(l) for l in b)
     assert sorted(sampled, key=key) != sampled
-    assert short_circuit_sizes(cube, sampled) == [
-        len(short_circuit_reference(cube, b)[0]) for b in sampled
-    ]
+    assert pipeline._worst_basis(cube, sampled) == _first_worst(
+        [len(short_circuit_reference(cube, b)[0]) for b in sampled])
 
 
 @pytest.mark.parametrize("bad, error", [(["0-1", "0-2", "1-2"], NotABasisError),
@@ -254,11 +268,9 @@ def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
     with pytest.raises(error) as want:
         standard_form(mk4.matrix, mk4.labels, bad)
     with pytest.raises(error) as got:
-        short_circuit_sizes(mk4, [["0-1", "0-2", "0-3"], bad])
-    with pytest.raises(error) as got_one:
         find_short_circuit(mk4, bad)
-    assert want.type is got.type is got_one.type is error
-    assert str(got.value) == str(got_one.value) == str(want.value)
+    assert want.type is got.type is error
+    assert str(got.value) == str(want.value)
     if error is ValueError:
         assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
@@ -270,7 +282,8 @@ def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
     sampled = sample_bases(m, 4, seed=3)
     # two bases tie at the largest size; the later one comes first in column order
     assert sampled[1] == ("e5", "e6", "e7") and sampled[3] == ("e3", "e5", "e6")
-    assert short_circuit_sizes(m, sampled) == [2, 3, 2, 3]
+    assert [len(find_short_circuit(m, b)[0]) for b in sampled] == [2, 3, 2, 3]
+    assert pipeline._worst_basis(m, sampled) == (1, 3)
     rep = verify_dichotomy(m, 3, basis_mode="sample", samples=4, seed=3)
     assert rep.basis == ("e5", "e6", "e7")
     assert rep.circuit_size == 3
@@ -312,7 +325,7 @@ def test_pair_sharing_a_nonzero_entry_is_its_own_circuit(monkeypatch):
                    ["b1", "b2", "b3", "b4", "e", "f"])
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f") and stats.source == "pair"
-    assert short_circuit_sizes(m, [["b1", "b2", "b3", "b4"]]) == [3]
+    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, 3)
     assert calls == []
     assert circ == {"b4", "e", "f"}
     _assert_circuit_by_brute_force(m, circ)
@@ -326,7 +339,7 @@ def test_pair_with_disjoint_supports_is_shrunk(monkeypatch):
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f")
     assert calls == [frozenset(m.labels)]
-    assert short_circuit_sizes(m, [["b1", "b2", "b3", "b4"]]) == [3]
+    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, 3)
     assert calls == [frozenset(m.labels)] * 2
     assert circ == {"b1", "b2", "e"}
     _assert_circuit_by_brute_force(m, circ)
