@@ -156,7 +156,7 @@ def _set_system_header(args: argparse.Namespace) -> tuple[SetSystem, dict]:
 
 def _cmd_shatter(args: argparse.Namespace) -> tuple[int, dict]:
     system, rep = _set_system_header(args)
-    res = shatter(system, args.m, trials=args.trials or None, seed=args.seed, budget=args.budget)
+    res = shatter(system, args.m, trials=args.trials, seed=args.seed, budget=args.budget)
     rep.update({
         "m": res.m,
         "mode": "exact" if res.exact else "sampled",

@@ -25,7 +25,7 @@ _BUNDLED_MODULI = {
 }
 
 # Largest supported field order: every field gets full q x q operation
-# tables, and matrices store element codes as uint8.
+# tables, and `GFMatrix.data` holds element codes as uint8.
 MAX_ORDER = 256
 
 

@@ -2,10 +2,11 @@
 
 Entries are stored as a tuple of row tuples of element codes, the form
 every kernel reads; numpy only backs the read-only `GFMatrix.data` array,
-built on demand.  One Gauss-Jordan step, `_pivot`, on lists of rows and
-the field's operation tables, serves every reduction: the
+built on demand.  One Gauss-Jordan elimination, `_gauss_jordan`, on lists
+of rows and the field's operation tables, serves every reduction: the
 caller names the columns, in order, and each pivots on the first row not
 yet used that is nonzero there, so every reduced form is reproducible.
+`standard_form` gives the [I | A] of one basis per call.
 """
 
 from __future__ import annotations
@@ -108,48 +109,37 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _pivot(field: FieldSpec, rows: list, free: list[int], c: int) -> Optional[int]:
-    """One Gauss-Jordan step: pivot column `c` on the first row of `free`
-    (the rows without a pivot, in order) that is nonzero there.
-
-    That row leaves `free` and is scaled so the pivot is 1, and the column
-    is cleared in every other row.  Changed rows are replaced by new lists
-    and rows keep their places.  Returns the pivot row, or None (changing
-    nothing) when `c` is zero on every free row.
-    """
-    for k, r in enumerate(free):
-        if rows[r][c]:
-            break
-    else:
-        return None
-    del free[k]
-    sub_t, mul_t = field._sub, field._mul
-    prow = rows[r]
-    if prow[c] != 1:
-        mrow = mul_t[field._inv[prow[c]]]
-        prow = rows[r] = [mrow[y] for y in prow]
-    for i, row in enumerate(rows):
-        e = row[c]
-        if e and i != r:
-            mrow = mul_t[e]
-            rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
-    return r
-
-
 def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int, int]:
     """Gauss-Jordan elimination on `rows`, pivoting on `cols` in the given order.
 
-    Each column is one `_pivot` step.  Returns {column: pivot row} in pivot
-    order; a column without a pivot is spanned by the pivot columns before it.
+    Each column takes as pivot the first row not yet used that is nonzero
+    there; that row is scaled so the pivot is 1 and the column is cleared
+    in every other row.  Changed rows are replaced by new lists and rows
+    keep their places.  Returns {column: pivot row} in pivot order; a
+    column without a pivot is spanned by the pivot columns before it.
     """
-    free = list(range(len(rows)))
+    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
+    free = list(range(len(rows)))  # rows without a pivot, in order
     piv: dict[int, int] = {}
     for c in cols:
         if not free:
             break
-        r = _pivot(field, rows, free, c)
-        if r is not None:
-            piv[c] = r
+        for k, r in enumerate(free):
+            if rows[r][c]:
+                break
+        else:
+            continue
+        del free[k]
+        prow = rows[r]
+        if prow[c] != 1:
+            mrow = mul_t[inv_t[prow[c]]]
+            prow = rows[r] = [mrow[y] for y in prow]
+        for i, row in enumerate(rows):
+            e = row[c]
+            if e and i != r:
+                mrow = mul_t[e]
+                rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
+        piv[c] = r
     return piv
 
 

@@ -10,34 +10,33 @@ circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
-One extractor serves every caller.  `_sweep` visits a list of bases in
-sorted column-index order over a stack of elimination states, so each
-basis costs only the pivots past the prefix it shares with the basis
-before it, and hands on the rows of A.  `_short_circuits` takes those rows
-to packed column masks and finds the pair circuits of that one basis.
-`find_short_circuit` sweeps its one basis and lists the circuits as label
+One extractor serves every caller, over the `standard_form` of one basis
+at a time.  `_a_columns` reads the columns of A by non-basis label, and
+`_short_circuits` packs them into column masks and finds the pair
+circuits of that basis.  `find_short_circuit` lists the circuits as label
 sets to pick the smallest.
 
 The harness needs only the worst basis: the first in list order whose
-short circuit is largest.  `_worst_basis` finds it in one sweep with two
+short circuit is largest.  `_worst_basis` walks the list once with two
 upper bounds, as a short circuit is at most any fundamental circuit.  A
 known fundamental circuit of an earlier basis that has one element
 outside a basis is one of that basis's own, so the basis may be passed
-over before its pivots; the smallest fundamental circuit, read from A,
-may spare a pivoted basis its pair scan.  The harness then runs
+over before its standard form; the smallest fundamental circuit, read
+from A, may spare a reduced basis its pair scan.  The harness then runs
 `find_short_circuit` on the one worst basis.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .gf import FieldSpec
-from .gfmatrix import NotABasisError, _pivot
+from .gfmatrix import StandardForm, standard_form
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -82,22 +81,21 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
     Ties go to the smaller circuit by sorted labels, then to a fundamental
     circuit over a pair circuit.
     """
-    basis = set(basis)
-    ((_, cols, nonbasis, a_rows),) = _sweep(m, [basis])
-    members, closest, pairs = _short_circuits(m, cols, nonbasis, a_rows)
+    sf = standard_form(m.matrix, m.labels, basis)
+    cols = _a_columns(sf)
+    closest, pairs = _short_circuits(m, sf, cols)
     (min_sym, pair_ham, min_sym_pair), (min_ham, _) = closest
     candidates = []
-    for e, _, _ in members:
-        je = m._index[e]
-        circ = frozenset(m.labels[c] for c, row in zip(cols, a_rows) if row[je]) | {e}
+    for e, col in cols.items():
+        circ = frozenset(compress(sf.basis_order, col)) | {e}
         candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
     best_fund = min(candidates)[0]
     for _, (e, f), circ in pairs:
-        circ = frozenset(_pair_set(m, cols, a_rows, e, f) if circ is None else circ)
+        circ = frozenset(_pair_set(sf, cols, e, f) if circ is None else circ)
         candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
     _, _, best, source = min(candidates)
     stats = ShortCircuitStats(
-        nonbasis_count=len(best - basis),
+        nonbasis_count=len(best.difference(sf.basis_order)),
         min_sym_diff=min_sym,
         min_sym_pair=min_sym_pair,
         pair_hamming=pair_ham,
@@ -115,18 +113,19 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
     A short circuit is at most the smallest fundamental circuit, so a basis
     whose bound is below the best size so far, or equal to it with the basis
     later in the list, cannot be the answer.  The bound is read from A before
-    the pair scan.  Before the pivots, a known fundamental circuit C of an
-    earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and bounds
-    B.  A pruned entry is never checked to be a basis, so callers pass lists
-    from `bases` or `sample_bases`.
+    the pair scan.  Before `standard_form`, a known fundamental circuit C of
+    an earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and
+    bounds B.  A pruned entry is never checked to be a basis, so callers pass
+    lists from `bases` or `sample_bases`.
     """
-    bit = [1 << j for j in range(m.size)]
+    # an unknown label gets no bit here; `standard_form` rejects it
+    bit = defaultdict(int, {l: 1 << j for j, l in enumerate(m.labels)})
     full = (1 << m.size) - 1
     known: list[set[int]] = [set() for _ in range(m.rank + 2)]  # circuit masks by size
     best = (0, 0)  # (size, -position) of the answer so far
 
-    def pruned(pos: int, cols: tuple[int, ...]) -> bool:
-        outside = full ^ sum(map(bit.__getitem__, cols))
+    def pruned(pos: int, basis: Iterable[str]) -> bool:
+        outside = full ^ sum(map(bit.__getitem__, basis))
         for size in range(1, len(known)):
             if (size, -pos) >= best:
                 break
@@ -136,98 +135,60 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
                     return True
         return False
 
-    for pos, cols, nonbasis, a_rows in _sweep(m, basis_list, pruned):
-        a_cols = list(zip(*a_rows)) if a_rows else [()] * m.size  # rank 0: all loops
-        sizes = [len(cols) + 1 - a_cols[j].count(0) for j in nonbasis]
-        for j, size in zip(nonbasis, sizes):
-            known[size].add(bit[j] | sum(map(bit.__getitem__, compress(cols, a_cols[j]))))
-        bound = min(sizes)
+    for pos, basis in enumerate(basis_list):
+        if pruned(pos, basis):
+            continue
+        sf = standard_form(m.matrix, m.labels, basis)
+        cols = _a_columns(sf)
+        rows = [bit[b] for b in sf.basis_order]
+        bound = len(rows) + 1
+        for e, col in cols.items():
+            size = len(rows) + 1 - col.count(0)
+            known[size].add(bit[e] | sum(compress(rows, col)))
+            bound = min(bound, size)
         if (bound, -pos) < best:
             continue
-        _, _, pairs = _short_circuits(m, cols, nonbasis, a_rows)
+        _, pairs = _short_circuits(m, sf, cols)
         best = max(best, (min([bound] + [size for size, _, _ in pairs]), -pos))
     return -best[1], best[0]
 
 
-def _sweep(m: RepMatroid, basis_list: Sequence[Iterable[str]],
-           skip: Optional[Callable[[int, tuple[int, ...]], bool]] = None) -> Iterator[tuple]:
-    """(position in `basis_list`, basis columns, label-sorted non-basis
-    columns, rows of A) for each basis, in sorted column-index order.  [I | A]
-    is unique for a basis order, so A is the one `standard_form` gives; its
-    rows here keep all of m's columns.  A basis for which `skip(position,
-    columns)` holds is passed over unpivoted and unchecked."""
-    field, labels, n = m.field, m.labels, m.size
-    keys = []
-    for b in basis_list:
-        b = set(b)
-        unknown = b - m._index.keys()
-        if unknown:
-            raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
-        keys.append(tuple(sorted(m._index[l] for l in b)))
-    by_label = sorted(range(n), key=labels.__getitem__)
-    rows = m.matrix.row_tuples()
-    stack = [(rows, list(range(len(rows))))]  # (rows, free rows) after each pivot
-    pivots: list[int] = []  # pivot row of each column of `prev`, in order
-    prev: tuple[int, ...] = ()
-    for pos in sorted(range(len(keys)), key=keys.__getitem__):
-        cols = keys[pos]
-        if skip is not None and skip(pos, cols):
-            continue
-        k = 0
-        for x, y in zip(prev, cols):
-            if x != y:
-                break
-            k += 1
-        del stack[k + 1:], pivots[k:]
-        for c in cols[k:]:
-            rows, free = map(list, stack[-1])
-            r = _pivot(field, rows, free, c)
-            if r is None:
-                break
-            stack.append((rows, free))
-            pivots.append(r)
-        prev = cols
-        if len(pivots) != len(cols) or len(cols) != m.rank:
-            raise NotABasisError(f"columns {sorted(labels[j] for j in cols)} do not form a basis")
-        if len(cols) == n:
-            raise NoCircuitError("free matroid has no circuits")
-        basis = set(cols)
-        # the pivot rows in basis order are the rows of A
-        yield pos, cols, [j for j in by_label if j not in basis], [stack[-1][0][r] for r in pivots]
+def _a_columns(sf: StandardForm) -> dict[str, tuple[int, ...]]:
+    """{non-basis label: its column of A}; a fundamental circuit is the
+    column's support in `sf.basis_order` plus its label."""
+    if not sf.nonbasis_order:
+        raise NoCircuitError("free matroid has no circuits")
+    return dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
 
 
-def _short_circuits(m: RepMatroid, cols: tuple[int, ...], nonbasis: list[int], a_rows: list):
-    """(members, closest, pairs) of one basis, given its columns, the other
-    columns in label order and the rows of A.  Members are the (label, mask
-    M_e, row support N_e) triples of the other columns; a fundamental
-    circuit is a row support plus its column.  `closest` is their
-    `_closest_pairs`, all None with fewer than two.  Each distinct closest
-    pair gives (circuit size, pair, circuit), the circuit None when it is
-    the pair's whole `_pair_set`."""
-    labels, index = m.labels, m._index
-    members = [(labels[j],) + packed
-               for j, packed in zip(nonbasis, _column_masks(m.field.q, a_rows, nonbasis))]
+def _short_circuits(m: RepMatroid, sf: StandardForm, cols: dict[str, tuple[int, ...]]):
+    """(closest, pairs) of the basis of `sf`, given its `_a_columns`.
+    `closest` is the `_closest_pairs` of the label-sorted (label, mask M_e,
+    row support N_e) triples of the non-basis columns, all None with fewer
+    than two.  Each distinct closest pair gives (circuit size, pair,
+    circuit), the circuit None when it is the pair's whole `_pair_set`."""
+    order = sorted(cols)
+    members = [(e,) + packed
+               for e, packed in zip(order, _column_masks(m.field.q, map(cols.__getitem__, order)))]
     if len(members) < 2:
-        return members, ((None,) * 3, (None,) * 2), []
+        return ((None,) * 3, (None,) * 2), []
     closest = (_, h, sym_pair), (min_h, ham_pair) = _closest_pairs(members)
     pairs = []
     for (e, f), dist in dict.fromkeys([(sym_pair, h), (ham_pair, min_h)]):
-        je, jf = index[e], index[f]
-        if any(row[je] == row[jf] != 0 for row in a_rows):
+        if any(x == y != 0 for x, y in zip(cols[e], cols[f])):
             # a_e and a_f share a nonzero entry, so e is outside the span of
             # the differing rows: the pair set has nullity 1, and its one
             # dependency e - f - sum (a_e - a_f)_b b has full support
             pairs.append((dist + 2, (e, f), None))
         else:
-            circ = circuit_of_dependent(m, _pair_set(m, cols, a_rows, e, f))
+            circ = circuit_of_dependent(m, _pair_set(sf, cols, e, f))
             pairs.append((len(circ), (e, f), circ))
-    return members, closest, pairs
+    return closest, pairs
 
 
-def _pair_set(m: RepMatroid, cols: tuple[int, ...], a_rows: list, e: str, f: str) -> list[str]:
+def _pair_set(sf: StandardForm, cols: dict[str, tuple[int, ...]], e: str, f: str) -> list[str]:
     """D for the pair e, f: the basis rows where a_e and a_f differ, then e, f."""
-    je, jf = m._index[e], m._index[f]
-    return [m.labels[c] for c, row in zip(cols, a_rows) if row[je] != row[jf]] + [e, f]
+    return [b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y] + [e, f]
 
 
 @dataclass(frozen=True)
@@ -322,6 +283,8 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     """
     if t < 2:
         raise ValueError(f"clique needs t >= 2, got {t}")
+    if basis_mode not in ("all", "sample"):
+        raise ValueError(f"basis_mode must be 'all' or 'sample', got {basis_mode!r}")
     cert = cosimple_certificate(m)
     if cert is not None:
         raise NotCosimpleError(cert)

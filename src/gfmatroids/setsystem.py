@@ -87,15 +87,13 @@ class SetSystem:
         return [p for i, p in enumerate(self.ground) if mask >> i & 1]
 
 
-def _column_masks(q: int, a_rows: Sequence[Sequence[int]], cols: Iterable[int]) -> list[tuple[int, int]]:
-    """(M_e, N_e) of each column index in `cols` of A over GF(q), given A by
-    rows, one row per basis element."""
+def _column_masks(q: int, columns: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
+    """(M_e, N_e) of each column of A over GF(q), one entry per basis element."""
     per = q - 1
     out = []
-    for j in cols:
+    for col in columns:
         mask = support = 0
-        for i, row in enumerate(a_rows):
-            v = row[j]
+        for i, v in enumerate(col):
             if v:
                 mask |= 1 << (i * per + v - 1)
                 support |= 1 << (i * per)
@@ -104,7 +102,7 @@ def _column_masks(q: int, a_rows: Sequence[Sequence[int]], cols: Iterable[int]) 
 
 
 def build_set_system(sf: StandardForm) -> SetSystem:
-    masks = _column_masks(sf.field.q, sf.a.row_tuples(), range(len(sf.nonbasis_order)))
+    masks = _column_masks(sf.field.q, sf.a.col_tuples())
     return SetSystem(sf.field, sf.basis_order,
                      [(l, mask) for l, (mask, _) in zip(sf.nonbasis_order, masks)])
 

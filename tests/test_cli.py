@@ -254,6 +254,9 @@ def test_shatter_exact_and_sampled(capsys):
     code, rep2 = run_json(capsys, "shatter", "gen:mk4", "--m", "2", "--trials", "20", "--seed", "1")
     assert code == 0 and not rep2["exact"]
     assert rep2["value"] <= rep["value"]
+    code, rep0 = run_json(capsys, "shatter", "gen:mk4", "--m", "3", "--trials", "0")
+    assert code == 0
+    assert (rep0["mode"], rep0["subsets_checked"]) == ("sampled", 0)
 
 
 def test_separation_report(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import re
 import time
 
 from gfmatroids import (
@@ -271,6 +272,8 @@ def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
         find_short_circuit(mk4, bad)
     assert want.type is got.type is error
     assert str(got.value) == str(want.value)
+    with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+        pipeline._worst_basis(mk4, [bad])
     if error is ValueError:
         assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
@@ -350,3 +353,13 @@ def test_pair_with_disjoint_supports_is_shrunk(monkeypatch):
 def test_verify_dichotomy_rejects_nonpositive_sample_counts(samples):
     with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
         verify_dichotomy(clique(4, F2, dualize=True), 4, basis_mode="sample", samples=samples)
+
+
+def test_verify_dichotomy_rejects_an_unknown_basis_mode_before_any_other_work(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("called before basis_mode was checked")
+
+    for name in ("cosimple_certificate", "bases", "sample_bases", "_worst_basis"):
+        monkeypatch.setattr(pipeline, name, unexpected)
+    with pytest.raises(ValueError, match="basis_mode must be 'all' or 'sample', got 'bogus'"):
+        verify_dichotomy(clique(4, F2, dualize=True), 4, basis_mode="bogus")
