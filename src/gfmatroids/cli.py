@@ -298,7 +298,11 @@ def run(args: argparse.Namespace) -> int:
         code, report = args.handler(args)
     except ValueError as exc:  # every input and library error of the package
         code, report = 2, _error(exc)
-    _write(args.out, report)
+    try:
+        _write(args.out, report)
+    except OSError as exc:
+        _write(None, _error(InputError(f"cannot write {args.out}: {exc}")))
+        return 2
     return code
 
 

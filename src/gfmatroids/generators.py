@@ -214,6 +214,8 @@ def parse_graph(text: str) -> Graph:
         m = int(fields["m"])
     except (KeyError, ValueError):
         raise ValueError(f"line {at}: header needs integer n= and m=") from None
+    if n < 0 or m < 0:
+        raise ValueError(f"line {at}: n= and m= must be >= 0, got {n} and {m}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

@@ -315,6 +315,9 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
                 )
             row.append(val)
         rows.append(row)
+    for lineno, line in enumerate(lines[at + nrows:], start=at + nrows + 1):
+        if line.strip():
+            raise GfmParseError(f"line {lineno}: text after the {nrows} matrix rows")
     return field, GFMatrix(field, rows, ncols), labels
 
 

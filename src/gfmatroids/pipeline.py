@@ -3,7 +3,7 @@
 For a basis B the short circuit is the smallest among every fundamental
 circuit and one circuit for each of the closest non-basis column pairs of
 the standard form [I | A] (closest by symmetric difference and by Hamming
-distance, both found by one scan, `setsystem._closest_pairs`).  For a pair
+distance, both found by one scan, `setsystem.separation`).  For a pair
 e, f let D be {e, f} plus the basis rows where a_e and a_f differ.  When
 a_e and a_f share a nonzero entry, D has nullity 1 and is itself the
 circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
@@ -12,9 +12,9 @@ satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
 One extractor serves every caller, over the `standard_form` of one basis
 at a time.  `_a_columns` reads the columns of A by non-basis label, and
-`_short_circuits` packs them into column masks and finds the pair
-circuits of that basis.  `find_short_circuit` lists the circuits as label
-sets to pick the smallest.
+`_pair_circuits` builds the basis's set system, runs `separation` on it
+and finds the circuits of its closest pairs.  `find_short_circuit` lists
+them with the fundamental circuits to pick the smallest.
 
 The harness needs only the worst basis: the first in list order whose
 short circuit is largest.  `_worst_basis` walks the list once with two
@@ -50,7 +50,7 @@ from .matroid import (
     sample_bases,
     simplify,
 )
-from .setsystem import _closest_pairs, _column_masks, greedy_delta_packing, sym_diff_size
+from .setsystem import build_set_system, greedy_delta_packing, separation, sym_diff_size
 from . import generators
 
 
@@ -76,30 +76,32 @@ class ShortCircuitStats:
 
 
 def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[str], ShortCircuitStats]:
-    """Smallest circuit with at most two non-basis elements, w.r.t. `basis`.
+    """Short circuit w.r.t. `basis`: the smallest of the fundamental circuits
+    and the circuits of the closest non-basis column pairs.
 
-    Ties go to the smaller circuit by sorted labels, then to a fundamental
-    circuit over a pair circuit.
+    It has at most two non-basis elements.  Over GF(2) it is the smallest
+    such circuit; over larger fields a pair closest in neither measure, or
+    a combination other than a_e - a_f, can give a smaller one.  Ties go to
+    the smaller circuit by sorted labels, then to a fundamental circuit over
+    a pair circuit.
     """
     sf = standard_form(m.matrix, m.labels, basis)
     cols = _a_columns(sf)
-    closest, pairs = _short_circuits(m, sf, cols)
-    (min_sym, pair_ham, min_sym_pair), (min_ham, _) = closest
+    sep, pair_circuits = _pair_circuits(m, sf, cols)
     candidates = []
     for e, col in cols.items():
         circ = frozenset(compress(sf.basis_order, col)) | {e}
         candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
     best_fund = min(candidates)[0]
-    for _, (e, f), circ in pairs:
-        circ = frozenset(_pair_set(sf, cols, e, f) if circ is None else circ)
+    for circ in pair_circuits:
         candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
     _, _, best, source = min(candidates)
     stats = ShortCircuitStats(
         nonbasis_count=len(best.difference(sf.basis_order)),
-        min_sym_diff=min_sym,
-        min_sym_pair=min_sym_pair,
-        pair_hamming=pair_ham,
-        min_hamming=min_ham,
+        min_sym_diff=sep and sep.sym_diff,
+        min_sym_pair=sep and sep.min_pair,
+        pair_hamming=sep and sep.hamming,
+        min_hamming=sep and sep.min_hamming,
         best_fundamental=best_fund,
         source=source,
     )
@@ -148,8 +150,8 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
             bound = min(bound, size)
         if (bound, -pos) < best:
             continue
-        _, pairs = _short_circuits(m, sf, cols)
-        best = max(best, (min([bound] + [size for size, _, _ in pairs]), -pos))
+        _, pair_circuits = _pair_circuits(m, sf, cols)
+        best = max(best, (min([bound] + [len(c) for c in pair_circuits]), -pos))
     return -best[1], best[0]
 
 
@@ -161,34 +163,24 @@ def _a_columns(sf: StandardForm) -> dict[str, tuple[int, ...]]:
     return dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
 
 
-def _short_circuits(m: RepMatroid, sf: StandardForm, cols: dict[str, tuple[int, ...]]):
-    """(closest, pairs) of the basis of `sf`, given its `_a_columns`.
-    `closest` is the `_closest_pairs` of the label-sorted (label, mask M_e,
-    row support N_e) triples of the non-basis columns, all None with fewer
-    than two.  Each distinct closest pair gives (circuit size, pair,
-    circuit), the circuit None when it is the pair's whole `_pair_set`."""
-    order = sorted(cols)
-    members = [(e,) + packed
-               for e, packed in zip(order, _column_masks(m.field.q, map(cols.__getitem__, order)))]
-    if len(members) < 2:
-        return ((None,) * 3, (None,) * 2), []
-    closest = (_, h, sym_pair), (min_h, ham_pair) = _closest_pairs(members)
-    pairs = []
-    for (e, f), dist in dict.fromkeys([(sym_pair, h), (ham_pair, min_h)]):
+def _pair_circuits(m: RepMatroid, sf: StandardForm, cols: dict[str, tuple[int, ...]]):
+    """(separation, circuits) of the basis of `sf`, given its `_a_columns`:
+    the `separation` of its set system, None with fewer than two non-basis
+    columns, and the circuit of each distinct closest pair as a frozenset."""
+    if len(cols) < 2:
+        return None, []
+    sep = separation(build_set_system(sf))
+    circuits = []
+    for e, f in dict.fromkeys([sep.min_pair, sep.hamming_pair]):
+        pair_set = frozenset(b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y) | {e, f}
         if any(x == y != 0 for x, y in zip(cols[e], cols[f])):
             # a_e and a_f share a nonzero entry, so e is outside the span of
             # the differing rows: the pair set has nullity 1, and its one
             # dependency e - f - sum (a_e - a_f)_b b has full support
-            pairs.append((dist + 2, (e, f), None))
+            circuits.append(pair_set)
         else:
-            circ = circuit_of_dependent(m, _pair_set(sf, cols, e, f))
-            pairs.append((len(circ), (e, f), circ))
-    return closest, pairs
-
-
-def _pair_set(sf: StandardForm, cols: dict[str, tuple[int, ...]], e: str, f: str) -> list[str]:
-    """D for the pair e, f: the basis rows where a_e and a_f differ, then e, f."""
-    return [b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y] + [e, f]
+            circuits.append(circuit_of_dependent(m, pair_set))
+    return sep, circuits
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ first, value codes 1..q-1 second, so bitsets are comparable across runs.
 Each non-basis element e contributes the set F_e of pairs (b, A[b,e]) with
 a nonzero entry.  Two elements get the same set exactly when their columns
 are equal.
+
+`separation` is the one closest-pair scan: the `separation` command runs
+it on the canonical basis, and the short-circuit harness in `pipeline` on
+the `build_set_system` of each basis it scans for pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .gf import FieldSpec
 from .gfmatrix import StandardForm, _canonical_standard_form
@@ -87,24 +91,16 @@ class SetSystem:
         return [p for i, p in enumerate(self.ground) if mask >> i & 1]
 
 
-def _column_masks(q: int, columns: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
-    """(M_e, N_e) of each column of A over GF(q), one entry per basis element."""
-    per = q - 1
-    out = []
-    for col in columns:
-        mask = support = 0
+def build_set_system(sf: StandardForm) -> SetSystem:
+    per = sf.field.q - 1
+    members = []
+    for label, col in zip(sf.nonbasis_order, sf.a.col_tuples()):
+        mask = 0
         for i, v in enumerate(col):
             if v:
                 mask |= 1 << (i * per + v - 1)
-                support |= 1 << (i * per)
-        out.append((mask, support))
-    return out
-
-
-def build_set_system(sf: StandardForm) -> SetSystem:
-    masks = _column_masks(sf.field.q, sf.a.col_tuples())
-    return SetSystem(sf.field, sf.basis_order,
-                     [(l, mask) for l, (mask, _) in zip(sf.nonbasis_order, masks)])
+        members.append((label, mask))
+    return SetSystem(sf.field, sf.basis_order, members)
 
 
 def canonical_system(m) -> tuple[StandardForm, SetSystem]:
@@ -196,23 +192,11 @@ class SeparationReport:
 def separation(s: SetSystem) -> SeparationReport:
     """Closest pairs by symmetric difference and by Hamming distance, each
     with the lexicographically first pair among ties, from one scan."""
-    labels = sorted(s.labels)
-    if len(labels) < 2:
+    members = [(l, s._by_label[l], s._support[l]) for l in sorted(s.labels)]
+    if len(members) < 2:
         raise InsufficientFamilyError(
-            f"separation needs >= 2 member sets, got {len(labels)}"
+            f"separation needs >= 2 member sets, got {len(members)}"
         )
-    (d, h, pair), (min_h, ham_pair) = _closest_pairs(
-        [(l, s._by_label[l], s._support[l]) for l in labels])
-    return SeparationReport(pair, d, h, d, ham_pair, min_h)
-
-
-def _closest_pairs(members: Sequence[tuple[str, int, int]]):
-    """The pair scan of `separation` over label-sorted (label, mask M_e,
-    row support N_e) triples, at least two of them.
-
-    Returns ((symmetric difference, its Hamming distance, pair), (Hamming
-    distance, pair)) for the closest pair by each measure.
-    """
     sym = ham = None
     # pairs come in lexicographic order, so a strict < keeps the first of ties
     for (e, me, ne), (f, mf, nf) in combinations(members, 2):
@@ -222,7 +206,8 @@ def _closest_pairs(members: Sequence[tuple[str, int, int]]):
             sym = (d, h, (e, f))
         if ham is None or h < ham[0]:
             ham = (h, (e, f))
-    return sym, ham
+    (d, h, pair), (min_h, ham_pair) = sym, ham
+    return SeparationReport(pair, d, h, d, ham_pair, min_h)
 
 
 def greedy_delta_packing(s: SetSystem, delta: int) -> list[str]:

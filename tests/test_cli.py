@@ -75,6 +75,20 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "out of range" in rep["error"]["message"]
 
 
+def test_gfm_text_after_the_last_row_is_an_error(tmp_path, capsys):
+    p = tmp_path / "long.gfm"
+    p.write_text("gfm q=2 rows=1 cols=2\n1 1\n0 1\nnonsense here\n")
+    code, rep = run_json(capsys, "girth", str(p))
+    assert code == 2
+    assert rep["error"]["type"] == "GfmParseError"
+    assert "line 3" in rep["error"]["message"]
+    # blank lines after the last row are fine
+    p.write_text("gfm q=2 rows=1 cols=2\n1 1\n\n  \n")
+    code, rep = run_json(capsys, "girth", str(p))
+    assert code == 0
+    assert rep["girth"] == 2
+
+
 def test_parse_gf4_header_uses_bundled_modulus():
     m = matroid_from_gfm("gfm q=4 rows=2 cols=3\n1 2 3\n0 1 1\n")
     assert m.field.modulus == (1, 1, 1)
@@ -181,7 +195,10 @@ def test_pg_is_built_over_the_requested_field(capsys):
     ("graph n=3=4 m=1\n0 1\n", "line 1"),
     ("graph n=3 m=1 junk\n0 1\n", "line 1: malformed header token 'junk'"),
     ("\ngraph n=3 m=1 n=7\n0 1\n", "line 2: repeated header key 'n'"),
-], ids=["non-integer", "vertex-out-of-range", "header-token", "header-junk", "header-repeated-key"])
+    ("graph n=-5 m=0\n", "line 1: n= and m= must be >= 0"),
+    ("graph n=3 m=-1\n", "line 1: n= and m= must be >= 0"),
+], ids=["non-integer", "vertex-out-of-range", "header-token", "header-junk", "header-repeated-key",
+        "negative-n", "negative-m"])
 def test_graph_file_errors_name_the_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.graph"
     path.write_text(text)
@@ -291,6 +308,15 @@ def test_unknown_instance_exit_2(capsys):
 def test_missing_file_exit_2(capsys):
     code, rep = run_json(capsys, "girth", "no_such_file.gfm")
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["{dir}", "{dir}/missing/report.json"], ids=["directory", "missing-directory"])
+def test_unwritable_out_is_a_structured_error(tmp_path, capsys, target):
+    out = target.format(dir=tmp_path)
+    code, rep = run_json(capsys, "girth", "gen:mk4", "--out", out)
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert rep["error"]["message"].startswith(f"cannot write {out}: ")
 
 
 def test_usage_error_is_structured_json(capsys):
