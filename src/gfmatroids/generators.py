@@ -217,7 +217,7 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ValueError(f"line {at}: n= and m= must be >= 0, got {n} and {m}")
     if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
+        raise ValueError(f"line {at}: expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for i, parts in lines[1:]:
         try:

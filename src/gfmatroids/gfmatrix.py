@@ -290,6 +290,9 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
                 f"line {at + 1}: {len(labels)} labels for {ncols} columns"
             )
         at += 1
+    elif not nrows and ncols:
+        # no row or label backs the width, so it is not trusted
+        raise GfmParseError(f"line 1: rows=0 and cols={ncols} need a labels line")
 
     rows = []  # grows as rows are read: the header's sizes are not trusted
     for i in range(nrows):

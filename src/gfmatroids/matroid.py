@@ -10,11 +10,12 @@ nonzero residue and returns the key, so a search undoes the step with
 columns are int bitmasks reduced word-parallel, other fields use tuples of
 element codes.  Each matroid caches its columns in the kernel's form.
 
-Isomorphism profiles are read from a family of independent sets held as
-bitmasks.  A deletion's independent sets are its parent's that miss the
-deleted elements, so the minor search enumerates each contraction m/C
-once and reads the profile of every candidate (m/C)\\D from it by one
-mask test per set.
+One walk lists the independent sets of a matroid as bitmasks, and on
+request its small dependent sets; isomorphism profiles, rank tables and
+the minor search all read from it.  A deletion's independent sets are
+its parent's that miss the deleted elements, so the minor search walks
+each contraction m/C once and reads the profile and short circuits of
+every candidate (m/C)\\D from it by one mask test per set.
 
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
@@ -217,12 +218,14 @@ def is_independent(m: RepMatroid, s: Iterable[str]) -> bool:
 # -- girth ---------------------------------------------------------------------
 
 
-def _exists_dependent(kern: _Kernel, cols: Sequence, s: int) -> bool:
+def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[int]:
+    """Smallest s <= limit with a dependent s-subset, scanning sizes upward."""
     n = len(cols)
     push, spans = kern.push, kern.spans
     piv: dict = {}
 
     def rec(start: int, depth: int) -> bool:
+        # True when the pushed columns extend, by columns from `start` on, to a dependent s-set
         if depth == s - 1:
             for j in range(start, n):
                 if spans(piv, cols[j]):
@@ -231,19 +234,14 @@ def _exists_dependent(kern: _Kernel, cols: Sequence, s: int) -> bool:
         for j in range(start, n - (s - 1 - depth)):
             key = push(piv, cols[j])
             if key is None:
-                return True  # dependent set below target size; callers scan sizes upward
+                return True  # dependent set below size s; sizes are scanned upward
             if rec(j + 1, depth + 1):
                 return True
             del piv[key]
         return False
 
-    return rec(0, 0)
-
-
-def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[int]:
-    """Smallest s <= limit with a dependent s-subset, scanning sizes upward."""
     for s in range(1, limit + 1):
-        if _exists_dependent(kern, cols, s):
+        if rec(0, 0):
             return s
     return None
 
@@ -272,26 +270,50 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None):
 # -- exhaustive rank tables and bases --------------------------------------------
 
 
+def _independent_masks(kern: _Kernel, cols: Sequence, dependent: Optional[list[int]] = None) -> list[int]:
+    """Every independent set of the columns as a bitmask, bit j for column j.
+
+    Given a list, also appends to it each spanned extension I + j of an
+    independent I with fewer than rank(cols) columns by a later column j.
+    These are dependent, and every circuit of at most rank(cols) columns
+    is among them: take I to be the circuit less its last column.
+    """
+    n, r = len(cols), _rank(kern, cols)
+    push = kern.push
+    out: list[int] = []
+    piv: dict = {}
+
+    def rec(start: int, depth: int, mask: int) -> None:
+        out.append(mask)
+        if depth == r:
+            return  # a basis: every further column is in its span
+        for j in range(start, n):
+            key = push(piv, cols[j])
+            if key is not None:
+                rec(j + 1, depth + 1, mask | 1 << j)
+                del piv[key]
+            elif dependent is not None:
+                dependent.append(mask | 1 << j)
+
+    rec(0, 0, 0)
+    return out
+
+
 def rank_table(m: RepMatroid) -> list[int]:
     """Rank of every subset, indexed by bitmask over label positions."""
     n = m.size
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"rank_table limited to {ENUMERATION_LIMIT} elements (|E| = {n})")
     table = [0] * (1 << n)
-    cols, push = m._packed(), m._kernel.push
-    piv: dict = {}
-
-    def rec(idx: int, mask: int) -> None:
-        if idx == n:
-            table[mask] = len(piv)
-            return
-        rec(idx + 1, mask)
-        key = push(piv, cols[idx])
-        rec(idx + 1, mask | (1 << idx))
-        if key is not None:
-            del piv[key]
-
-    rec(0, 0)
+    for s in _independent_masks(m._kernel, m._packed()):
+        table[s] = s.bit_count()
+    # subset-max sweep, one element at a time: the rank of a set is the size
+    # of the largest independent set inside it
+    for j in range(n):
+        bit = 1 << j
+        for s in range(1 << n):
+            if s & bit and table[s ^ bit] > table[s]:
+                table[s] = table[s ^ bit]
     return table
 
 
@@ -473,27 +495,6 @@ def is_circuit(m: RepMatroid, s: Iterable[str]) -> bool:
 # -- isomorphism -----------------------------------------------------------------
 
 
-def _independent_masks(kern: _Kernel, cols: Sequence) -> list[int]:
-    """Every independent set of the columns as a bitmask, bit j for column j."""
-    n, r = len(cols), _rank(kern, cols)
-    push = kern.push
-    out: list[int] = []
-    piv: dict = {}
-
-    def rec(start: int, depth: int, mask: int) -> None:
-        out.append(mask)
-        if depth == r:
-            return  # a basis: every further column is in its span
-        for j in range(start, n):
-            key = push(piv, cols[j])
-            if key is not None:
-                rec(j + 1, depth + 1, mask | 1 << j)
-                del piv[key]
-
-    rec(0, 0, 0)
-    return out
-
-
 class _Profile:
     """Label-free fingerprint of a matroid, read from its independent sets
     given as bitmasks, and the bit of each of its elements: the rank, the
@@ -583,29 +584,6 @@ def _class_masks(m: RepMatroid) -> tuple[int, list[int]]:
     return loops, [c for c in masks.values() if c & (c - 1)]
 
 
-def _dependent_masks(kern: _Kernel, cols: Sequence, size: int) -> list[int]:
-    """Dependent sets of at most `size` columns as bitmasks, among them every
-    circuit that small: each independent set of fewer than `size` columns,
-    extended by a later column in its span."""
-    n = len(cols)
-    push = kern.push
-    out: list[int] = []
-    piv: dict = {}
-
-    def rec(start: int, depth: int, mask: int) -> None:
-        for j in range(start, n):
-            key = push(piv, cols[j])
-            if key is None:
-                out.append(mask | 1 << j)
-                continue
-            if depth + 1 < size:
-                rec(j + 1, depth + 1, mask | 1 << j)
-            del piv[key]
-
-    rec(0, 0, 0)
-    return out
-
-
 def _codeword_supports(m: RepMatroid) -> list[int]:
     """Support bitmask (bit j for column j) of one codeword per 1-dimensional
     subspace of m's cycle space, the null space of its matrix.
@@ -689,12 +667,13 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       m/C is built.  They must equal the target's over m's field, which
       the target's rank function gives, whatever its own field.
     - Loop count and parallel-class sizes, from m/C's loop and class masks.
+      The first candidate of C to pass them walks m/C, once, for the
+      screens below.
     - Without the weight screen, no circuit shorter than the target's
-      girth, from m/C's dependent sets that small; the weights already
-      fix the girth.
-    - The number of independent sets.  The first candidate of C to get
-      here enumerates m/C's independent sets, once; each candidate keeps
-      those that miss D, and its isomorphism profile is read from them.
+      girth, from the dependent sets that small that the walk lists; the
+      weights already fix the girth.
+    - The number of independent sets, from those of the walk that miss
+      D; the candidate's isomorphism profile is read from them.
 
     The target's side of each screen is built once per target and cached.
     Screens only reject, so the witness is the first in canonical order.
@@ -719,7 +698,6 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
         # per element, a mask over codeword indices: the codewords whose support holds it
         hits = [sum(1 << i for i, s in enumerate(supports) if s >> e & 1) for e in range(n)]
         t_girth = None
-    kern = m._kernel
     nb = n - r_diff  # size of each contraction m/C
     dmasks = [sum(1 << j for j in didx) for didx in itertools.combinations(range(nb), d_count)]
     for cset in _independent_subsets(m, r_diff):
@@ -747,11 +725,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                     continue
             if base is None:
                 base = minor(m, delete=(), contract=cset)
-                bcols = base._packed()
                 loops, classes = _class_masks(base)
-                short = []
-                if t_girth is not None and t_girth > 3:
-                    short = _dependent_masks(kern, bcols, t_girth - 1)
             if (loops & ~dmask).bit_count() != t_loops:
                 continue
             # both sides have target.size elements and as many loops, so the
@@ -759,10 +733,14 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
             sizes = [c for c in [(p & ~dmask).bit_count() for p in classes] if c > 1]
             if sorted(sizes) != t_classes:
                 continue
+            if family is None:
+                # a loop or parallel pair is already screened above, so the
+                # circuits worth listing exist only for a target girth above 3
+                dependent = [] if t_girth is not None and t_girth > 3 else None
+                family = _independent_masks(base._kernel, base._packed(), dependent)
+                short = [s for s in dependent or () if s.bit_count() < t_girth]
             if any(not s & dmask for s in short):
                 continue
-            if family is None:
-                family = _independent_masks(kern, bcols)
             indep = [s for s in family if not s & dmask]
             if len(indep) != t_count:
                 continue

@@ -3,15 +3,17 @@
 These deliberately avoid the library's elimination kernels: independence is
 checked by enumerating coefficient combinations, field arithmetic by
 schoolbook polynomial work on digit lists, and graph facts by BFS or
-networkx.  Keep them slow and obvious.  Two oracles read the library's
-`subset_rank` and say so: `brute_minor`, which checks minors by the rank
-formula for contraction, and `short_circuit_reference`, which runs the
+networkx.  Keep them slow and obvious.  Three oracles read the library and
+say so: `brute_minor`, which checks minors by the rank formula for
+contraction with `subset_rank`, `short_circuit_reference`, which runs the
 library's own kernels the long way, as the reference for the short-circuit
-extractor.
+extractor, and `pair_circuit_size_oracle`, which reads [I | A] from
+`standard_form` and does the rest with its own field arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -301,3 +303,26 @@ def short_circuit_reference(m, basis):
         best_fundamental=best_fund,
         source=source,
     )
+
+
+def pair_circuit_size_oracle(m, basis):
+    """Least weight of a cycle-space vector supported on at most two
+    non-basis elements: the size of the smallest circuit with at most two
+    non-basis elements.  math.inf for a free matroid.
+
+    Over [I | A] for the basis, the vector that is 1 on e, c on f and zero
+    on the other non-basis elements is -(a_e + c a_f) on the basis, so its
+    weight is 2 plus the nonzero entries of a_e + c a_f.  Every single
+    non-basis element and every pair at every nonzero ratio c is tried,
+    with the schoolbook arithmetic of `field_ops_oracle`.
+    """
+    from gfmatroids import standard_form
+
+    f = m.field
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    cols = standard_form(m.matrix, m.labels, basis).a.col_tuples()
+    best = min((1 + sum(1 for x in a if x) for a in cols), default=math.inf)
+    for a, b in combinations(cols, 2):
+        for c in range(1, f.q):
+            best = min(best, 2 + sum(1 for x, y in zip(a, b) if add(x, mul(c, y))))
+    return best

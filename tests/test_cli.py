@@ -197,8 +197,10 @@ def test_pg_is_built_over_the_requested_field(capsys):
     ("\ngraph n=3 m=1 n=7\n0 1\n", "line 2: repeated header key 'n'"),
     ("graph n=-5 m=0\n", "line 1: n= and m= must be >= 0"),
     ("graph n=3 m=-1\n", "line 1: n= and m= must be >= 0"),
+    ("graph n=3 m=2\n0 1\n", "line 1: expected 2 edge lines, got 1"),
+    ("\ngraph n=3 m=1\n0 1\n1 2\n", "line 2: expected 1 edge lines, got 2"),
 ], ids=["non-integer", "vertex-out-of-range", "header-token", "header-junk", "header-repeated-key",
-        "negative-n", "negative-m"])
+        "negative-n", "negative-m", "short-file", "long-file"])
 def test_graph_file_errors_name_the_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.graph"
     path.write_text(text)
@@ -349,15 +351,17 @@ def test_field_conflict_of_equal_orders_names_both_moduli(tmp_path, capsys, argv
     assert "GF(8) modulus=11" in msg and "GF(8) modulus=13" in msg
 
 
-@pytest.mark.parametrize("header, names", [
-    ("gfm q=2 rows=100000000 cols=100000000", "line 2"),
-    ("gfm q=2 rows=-1 cols=1", "line 1"),
-    ("gfm q=4 rows=1 cols=1 modulus=-1", "line 1"),
-    ("gfm q=2 rows=1 cols=1 rows=2", "line 1: repeated header key 'rows'"),
-], ids=["huge", "negative-rows", "negative-modulus", "repeated-key"])
-def test_gfm_header_is_checked_before_use(tmp_path, capsys, header, names):
+@pytest.mark.parametrize("text, names", [
+    ("gfm q=2 rows=100000000 cols=100000000\n0\n", "line 2"),
+    ("gfm q=2 rows=-1 cols=1\n0\n", "line 1"),
+    ("gfm q=4 rows=1 cols=1 modulus=-1\n0\n", "line 1"),
+    ("gfm q=2 rows=1 cols=1 rows=2\n0\n", "line 1: repeated header key 'rows'"),
+    # no row and no labels line back the width
+    ("gfm q=2 rows=0 cols=2000000\n", "line 1: rows=0 and cols=2000000 need a labels line"),
+], ids=["huge", "negative-rows", "negative-modulus", "repeated-key", "header-only"])
+def test_gfm_header_is_checked_before_use(tmp_path, capsys, text, names):
     p = tmp_path / "h.gfm"
-    p.write_text(header + "\n0\n")
+    p.write_text(text)
     code, rep = run_json(capsys, "girth", str(p))
     assert code == 2
     assert rep["error"]["type"] == "GfmParseError"

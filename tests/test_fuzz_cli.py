@@ -71,6 +71,7 @@ def _outcome(argv):
 @FUZZ
 @given(text=st.one_of(gfm_texts(), st.text(max_size=30).map("gfm ".__add__)), field=_FIELD)
 @example(text="gfm q=2 rows=100000000 cols=100000000\n0\n", field=[])
+@example(text="gfm q=2 rows=0 cols=2000000\n", field=[])
 def test_gfm_text_gives_report_or_structured_error(tmp_path_factory, text, field):
     path = tmp_path_factory.getbasetemp() / "fuzz.gfm"
     path.write_text(text)

@@ -39,7 +39,7 @@ from gfmatroids import (
 from gfmatroids import matroid
 from gfmatroids.generators import Graph
 from gfmatroids.matroid import (
-    _Profile, _codeword_supports, _dependent_masks, _independent_masks, _match_profiles,
+    _Profile, _codeword_supports, _independent_masks, _match_profiles,
     _weight_counts,
 )
 
@@ -564,15 +564,16 @@ def test_dependent_masks_cover_every_small_dependent_set(q):
     f = field_from_order(q)
     for seed in range(6):
         m = random_matroid(2 + seed % 4, 8, f, seed=5000 + 10 * q + seed)
-        for size in (1, 2, 3, 4):
-            masks = _dependent_masks(m._kernel, m._packed(), size)
-            for s in range(1 << m.size):
-                if s.bit_count() > size:
-                    continue
-                labels = [l for j, l in enumerate(m.labels) if s >> j & 1]
-                dependent = subset_rank(m, labels) < len(labels)
-                assert any(not d & ~s for d in masks) == dependent, (seed, size, s)
-                assert (s in masks) <= dependent
+        masks: list[int] = []
+        _independent_masks(m._kernel, m._packed(), masks)
+        # the walk lists every circuit of at most rank(m) elements
+        for s in range(1 << m.size):
+            if s.bit_count() > m.rank:
+                continue
+            labels = [l for j, l in enumerate(m.labels) if s >> j & 1]
+            dependent = subset_rank(m, labels) < len(labels)
+            assert any(not d & ~s for d in masks) == dependent, (seed, s)
+            assert (s in masks) <= dependent
 
 
 def test_girth_of_dual_equals_min_cocircuit_size():
@@ -661,12 +662,14 @@ def test_rank_table_matches_brute_rank():
         else:
             add = lambda a, b: poly_add_oracle(f.p, f.k, a, b)  # noqa: E731
             mul = lambda a, b: poly_mul_oracle(f.p, f.k, f.modulus, a, b)  # noqa: E731
-        m = random_matroid(3, 7, f, seed=800 + q)
-        cols = m.matrix.col_tuples()
-        table = rank_table(m)
-        for mask in range(1 << m.size):
-            sub = [cols[j] for j in range(m.size) if mask >> j & 1]
-            assert table[mask] == brute_rank(q, add, mul, sub)
+        # a rank-0 and a free matroid: the walk gives only the empty set, or every set
+        for rank, size in ((3, 7), (0, 4), (4, 4)):
+            m = random_matroid(rank, size, f, seed=800 + q)
+            cols = m.matrix.col_tuples()
+            table = rank_table(m)
+            for mask in range(1 << m.size):
+                sub = [cols[j] for j in range(m.size) if mask >> j & 1]
+                assert table[mask] == brute_rank(q, add, mul, sub)
 
 
 def test_sample_bases_seeded_gf2():

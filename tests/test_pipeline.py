@@ -34,7 +34,8 @@ from gfmatroids.generators import Graph
 from gfmatroids.matroid import GIRTH_LIMIT
 
 from oracles import (
-    brute_rank, field_ops_oracle, graph_girth_oracle, is_graph_cycle, short_circuit_reference,
+    brute_rank, field_ops_oracle, graph_girth_oracle, is_graph_cycle, pair_circuit_size_oracle,
+    short_circuit_reference,
 )
 
 F2 = field_from_order(2)
@@ -226,6 +227,35 @@ def test_packing_ratios_shape():
     assert [r["delta"] for r in rows] == [1, 2, 3]
     assert all(r["separated"] for r in rows)
     assert all(r["ratio"] == r["size"] * r["delta"] / len(sf.basis_order) for r in rows)
+
+
+def _short_circuit_sizes_against_pair_oracle(q):
+    """(find_short_circuit size, oracle size) for every basis of a few draws."""
+    f = field_from_order(q)
+    out = []
+    for i in range(6):
+        m = random_matroid(2 + i % 4, 7 + i % 4, f, seed=4100 + 100 * q + i)
+        out += [(len(find_short_circuit(m, b)[0]), pair_circuit_size_oracle(m, b)) for b in bases(m)]
+    return out
+
+
+def test_short_circuit_is_the_smallest_pair_circuit_over_gf2():
+    sizes = _short_circuit_sizes_against_pair_oracle(2)
+    assert all(got == best for got, best in sizes)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_short_circuit_is_never_below_the_smallest_pair_circuit(q):
+    sizes = _short_circuit_sizes_against_pair_oracle(q)
+    assert all(got >= best for got, best in sizes)
+
+
+@pytest.mark.xfail(strict=True, reason="over GF(q >= 3) the extractor tries only the closest "
+                   "pairs, and only a_e - a_f (ROADMAP item 6)")
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_short_circuit_is_the_smallest_pair_circuit_over_gfq(q):
+    sizes = _short_circuit_sizes_against_pair_oracle(q)
+    assert all(got == best for got, best in sizes)
 
 
 def _first_worst(sizes):
