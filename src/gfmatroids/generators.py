@@ -66,10 +66,20 @@ def complete_graph(t: int) -> Graph:
     return Graph(t, tuple((u, v) for u in range(t) for v in range(u + 1, t)))
 
 
+def _check_entries(rank: int, elements: int) -> None:
+    """Refuse, before anything is built, a matrix of more than 10^7 entries
+    (rank x elements, or the elements alone at rank 0)."""
+    if max(rank, 1) * elements > 10**7:
+        count = f"{rank * elements} entries" if rank else f"{elements} elements at rank 0"
+        raise ValueError(f"a {rank} x {elements} matrix ({count}) exceeds the 10^7 entry guard")
+
+
 def clique(t: int, f: FieldSpec, dualize: bool = False) -> RepMatroid:
     """M(K_t), or its dual when `dualize` is set."""
     if t < 2:
         raise ValueError(f"clique needs t >= 2, got {t}")
+    n = t * (t - 1) // 2
+    _check_entries(n - (t - 1) if dualize else t - 1, n)
     m = graphic(complete_graph(t), f)
     return dual(m) if dualize else m
 
@@ -82,6 +92,7 @@ def uniform(t: int, n: int, f: FieldSpec) -> RepMatroid:
     """
     if not 0 <= t <= n:
         raise ValueError(f"uniform needs 0 <= t <= n, got t={t}, n={n}")
+    _check_entries(t, n)
     labels = [f"e{j}" for j in range(n)]
     if t == 0:
         return RepMatroid(f, GFMatrix.zeros(f, 0, n), labels)

@@ -3,12 +3,13 @@
 A RepMatroid is the column matroid of a GFMatrix with distinct string
 labels, one per column.  Rank, bases, girth and isomorphism profiles all
 ask one question: is this column in the span of the columns chosen so
-far?  One span kernel answers it.  The kernel keeps
-pivots in a dict keyed by lead position; pushing a column stores its
-nonzero residue and returns the key, so a search undoes the step with
-`del piv[key]`.  The field is picked once, when the kernel is built: GF(2)
-columns are int bitmasks reduced word-parallel, other fields use tuples of
-element codes.  Each matroid caches its columns in the kernel's form.
+far?  One span kernel answers it with one operation, `reduce`: a search
+that chooses a column reduces every later column by it, and passes the
+reduced list down, so a column is in the span of the chosen ones exactly
+when it has reduced to 0.  The field is picked once, when the kernel is
+built: GF(2) columns are int bitmasks reduced word-parallel, other fields
+use tuples of element codes scaled so that the first nonzero entry is 1.
+Each matroid caches its columns in the kernel's form.
 
 One walk lists the independent sets of a matroid as bitmasks, and on
 request its small dependent sets; isomorphism profiles, rank tables and
@@ -71,7 +72,6 @@ class RepMatroid:
         self.labels = labels
         self._index = {l: j for j, l in enumerate(labels)}
         self._kernel = _kernel(field)
-        self._cols_cache: Optional[list[tuple[int, ...]]] = None
         self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
 
@@ -85,15 +85,10 @@ class RepMatroid:
             self._rank_cache = _rank(self._kernel, self._packed())
         return self._rank_cache
 
-    def _cols(self) -> list[tuple[int, ...]]:
-        if self._cols_cache is None:
-            self._cols_cache = self.matrix.col_tuples()
-        return self._cols_cache
-
     def _packed(self) -> list:
         # columns in the span kernel's form
         if self._packed_cache is None:
-            self._packed_cache = [self._kernel.pack(c) for c in self._cols()]
+            self._packed_cache = [self._kernel.pack(c) for c in self.matrix.col_tuples()]
         return self._packed_cache
 
     def indices_of(self, s: Iterable[str]) -> list[int]:
@@ -126,82 +121,61 @@ class RepMatroid:
 class _Kernel(NamedTuple):
     """Span tests over one field, on columns in the kernel's packed form.
 
-    Pivots live in a dict keyed by lead position.  `push(piv, col)` reduces
-    col against the pivots, stores a nonzero residue under its lead and
-    returns that key, so `del piv[key]` undoes the step; it returns None
-    when col is already in the span.  `spans(piv, col)` is the reduce-only
-    form for leaf tests.
+    `reduce(p, cols)` takes a nonzero column p and returns cols with p's
+    multiple subtracted from each, so that each has a zero entry at p's
+    lead.  A search that chooses columns keeps the later ones reduced by
+    every column it has chosen: a column is in the span of the chosen ones
+    exactly when it has reduced to 0, and two reduced columns are equal
+    exactly when they are parallel modulo that span.  A zero column packs
+    to 0, so a loop is falsy on both kernels.
     """
 
     pack: Callable[[tuple[int, ...]], object]
-    push: Callable[[dict, object], Optional[int]]
-    spans: Callable[[dict, object], bool]
+    reduce: Callable[[object, list], list]
 
 
 def _pack2(col: Sequence[int]) -> int:
     return sum(1 << i for i, x in enumerate(col) if x)
 
 
-def _push2(piv: dict[int, int], mask: int) -> Optional[int]:
-    while mask:
-        b = mask & -mask
-        p = piv.get(b)
-        if p is None:
-            piv[b] = mask
-            return b
-        mask ^= p
-    return None
-
-
-def _spans2(piv: dict[int, int], mask: int) -> bool:
-    while mask:
-        p = piv.get(mask & -mask)
-        if p is None:
-            return False
-        mask ^= p
-    return True
+def _reduce2(p: int, cols: list[int]) -> list[int]:
+    b = p & -p
+    return [c ^ p if c & b else c for c in cols]
 
 
 def _kernel(field: FieldSpec) -> _Kernel:
-    """GF(2) columns pack into int bitmasks, keyed by their lowest set bit;
-    other fields keep tuples of codes, and a stored residue is scaled so its
-    lead entry is 1."""
+    """GF(2) columns pack into int bitmasks, and p's lead is its lowest set
+    bit; other fields keep tuples of codes scaled so that the first nonzero
+    entry, the lead, is 1, and a reduced column is scaled again."""
     if field.q == 2:
-        return _Kernel(_pack2, _push2, _spans2)
-    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
+        return _Kernel(_pack2, _reduce2)
+    sub_t, mul_t, normalize = field._sub, field._mul, field.normalize
 
-    def push(piv: dict[int, tuple[int, ...]], v) -> Optional[int]:
-        for lead, pv in piv.items():
-            c = v[lead]
-            if c:
-                mrow = mul_t[c]
-                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(v, pv)]
-        for i, x in enumerate(v):
-            if x:
-                if x != 1:
-                    mrow = mul_t[inv_t[x]]
-                    v = [mrow[y] for y in v]
-                piv[i] = tuple(v)
-                return i
-        return None
+    def pack(col: tuple[int, ...]):
+        return normalize(col) or 0
 
-    def spans(piv: dict[int, tuple[int, ...]], v) -> bool:
-        for lead, pv in piv.items():
-            c = v[lead]
-            if c:
-                mrow = mul_t[c]
-                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(v, pv)]
-        return not any(v)
+    def reduce(p: tuple[int, ...], cols: list) -> list:
+        i = p.index(1)  # p's entries before its lead are 0
+        tail = p[i:]
+        out = []
+        for c in cols:
+            if c and c[i]:
+                mrow = mul_t[c[i]]
+                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(c[i:], tail)]
+                c = normalize(c[:i] + tuple(v)) or 0
+            out.append(c)
+        return out
 
-    return _Kernel(tuple, push, spans)
+    return _Kernel(pack, reduce)
 
 
 def _rank(kern: _Kernel, cols: Iterable) -> int:
-    piv: dict = {}
-    push = kern.push
-    for c in cols:
-        push(piv, c)
-    return len(piv)
+    cols = [c for c in cols if c]
+    r = 0
+    while cols:
+        r += 1
+        cols = [c for c in kern.reduce(cols[0], cols[1:]) if c]
+    return r
 
 
 def subset_rank(m: RepMatroid, s: Iterable[str]) -> int:
@@ -219,29 +193,26 @@ def is_independent(m: RepMatroid, s: Iterable[str]) -> bool:
 
 
 def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[int]:
-    """Smallest s <= limit with a dependent s-subset, scanning sizes upward."""
-    n = len(cols)
-    push, spans = kern.push, kern.spans
-    piv: dict = {}
+    """Smallest s <= limit with a dependent s-subset, scanning sizes upward.
 
-    def rec(start: int, depth: int) -> bool:
-        # True when the pushed columns extend, by columns from `start` on, to a dependent s-set
-        if depth == s - 1:
-            for j in range(start, n):
-                if spans(piv, cols[j]):
-                    return True
-            return False
-        for j in range(start, n - (s - 1 - depth)):
-            key = push(piv, cols[j])
-            if key is None:
-                return True  # dependent set below size s; sizes are scanned upward
-            if rec(j + 1, depth + 1):
+    A size-s search chooses s - 2 columns in index order and then needs
+    one test: the chosen set, independent as every smaller set is, starts
+    a dependent s-set exactly when the later columns, reduced by it, hold
+    a 0 or two equal entries.  Size 1 is the test `0 in cols`.
+    """
+    reduce = kern.reduce
+
+    def rec(red: list, need: int) -> bool:
+        # True when `need` more columns of red complete a dependent set
+        if need <= 2:
+            return 0 in red or need == 2 and len(set(red)) < len(red)
+        for j in range(len(red) - need + 1):
+            if rec(reduce(red[j], red[j + 1:]), need - 1):
                 return True
-            del piv[key]
         return False
 
     for s in range(1, limit + 1):
-        if rec(0, 0):
+        if rec(cols, s):
             return s
     return None
 
@@ -249,10 +220,13 @@ def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[i
 def girth(m: RepMatroid, cutoff: Optional[int] = None):
     """Exact minimum circuit size.
 
-    Returns math.inf for a free matroid.  With a cutoff, returns None when
-    every circuit is larger than the cutoff instead of exhausting; without
-    one, ground sets above GIRTH_LIMIT elements are rejected.  A cutoff
-    below 1 is an error: no circuit is that small.
+    Sizes are tried upward.  Size s chooses s - 2 columns in index order
+    and ends with a pair test: the later columns, reduced by the chosen
+    ones, hold two equal entries exactly when they complete a circuit of
+    s elements.  Returns math.inf for a free matroid.  With a cutoff,
+    returns None when every circuit is larger than the cutoff instead of
+    exhausting; without one, ground sets above GIRTH_LIMIT elements are
+    rejected.  A cutoff below 1 is an error: no circuit is that small.
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"girth cutoff must be >= 1, got {cutoff}")
@@ -278,24 +252,22 @@ def _independent_masks(kern: _Kernel, cols: Sequence, dependent: Optional[list[i
     These are dependent, and every circuit of at most rank(cols) columns
     is among them: take I to be the circuit less its last column.
     """
-    n, r = len(cols), _rank(kern, cols)
-    push = kern.push
-    out: list[int] = []
-    piv: dict = {}
+    r, reduce = _rank(kern, cols), kern.reduce
+    out = [0]
 
-    def rec(start: int, depth: int, mask: int) -> None:
-        out.append(mask)
-        if depth == r:
-            return  # a basis: every further column is in its span
-        for j in range(start, n):
-            key = push(piv, cols[j])
-            if key is not None:
-                rec(j + 1, depth + 1, mask | 1 << j)
-                del piv[key]
+    def rec(red: list, start: int, depth: int, mask: int) -> None:
+        # red: the columns from `start` on, reduced by the `depth` chosen ones in mask
+        for j, p in enumerate(red, start):
+            child = mask | 1 << j
+            if p:
+                out.append(child)
+                if depth + 1 < r:  # a basis spans every further column
+                    rec(reduce(p, red[j + 1 - start:]), j + 1, depth + 1, child)
             elif dependent is not None:
-                dependent.append(mask | 1 << j)
+                dependent.append(child)
 
-    rec(0, 0, 0)
+    if r:
+        rec(cols, 0, 0, 0)
     return out
 
 
@@ -319,26 +291,23 @@ def rank_table(m: RepMatroid) -> list[int]:
 
 def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
     """All independent `size`-subsets, in lexicographic column-index order."""
-    n = m.size
-    cols, push = m._packed(), m._kernel.push
+    labels, reduce = m.labels, m._kernel.reduce
     out: list[tuple[str, ...]] = []
-    piv: dict = {}
-    chosen: list[int] = []
 
-    def rec(start: int) -> None:
-        if len(chosen) == size:
-            out.append(tuple(m.labels[j] for j in chosen))
-            return
-        for j in range(start, n - (size - len(chosen)) + 1):
-            key = push(piv, cols[j])
-            if key is None:
-                continue
-            chosen.append(j)
-            rec(j + 1)
-            chosen.pop()
-            del piv[key]
+    def rec(red: list, start: int, chosen: tuple[str, ...]) -> None:
+        # red: the columns from `start` on, reduced by the chosen ones
+        need = size - len(chosen)
+        for j in range(len(red) - need + 1):  # leave `need - 1` columns after j
+            if red[j]:
+                picked = chosen + (labels[start + j],)
+                if need == 1:
+                    out.append(picked)
+                else:
+                    rec(reduce(red[j], red[j + 1:]), start + j + 1, picked)
 
-    rec(0)
+    if size == 0:
+        return [()]
+    rec(m._packed(), 0, ())
     return out
 
 
@@ -362,7 +331,7 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
     rng = random.Random(seed)
     n = m.size
     r = m.rank
-    cols, push = m._packed(), m._kernel.push
+    cols, reduce = m._packed(), m._kernel.reduce
     seen: set[tuple[str, ...]] = set()
     out: list[tuple[str, ...]] = []
     attempts = stalled = 0
@@ -371,13 +340,14 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
         stalled += 1
         order = list(range(n))
         rng.shuffle(order)
-        piv: dict = {}
+        red = [cols[j] for j in order]
         chosen = []
-        for j in order:
-            if push(piv, cols[j]) is not None:
+        for k, j in enumerate(order):
+            if red[k]:
                 chosen.append(j)
                 if len(chosen) == r:
                     break
+                red[k + 1:] = reduce(red[k], red[k + 1:])
         basis = tuple(sorted(m.labels[j] for j in chosen))
         if basis not in seen:
             seen.add(basis)
@@ -426,8 +396,8 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
 
 def _class_ids(m: RepMatroid) -> list[int]:
     """Per column: 0 for a loop, else an id shared exactly by its parallel class."""
-    ids: dict = {None: 0}
-    return [ids.setdefault(m.field.normalize(c), len(ids)) for c in m._cols()]
+    ids: dict = {0: 0}
+    return [ids.setdefault(c, len(ids)) for c in m._packed()]
 
 
 def simplify(m: RepMatroid) -> RepMatroid:

@@ -47,6 +47,33 @@ def brute_rank(q, add, mul, cols) -> int:
     return 0
 
 
+def independent_masks_oracle(q, add, mul, cols) -> set[int]:
+    """Every independent set of the columns as a bitmask, bit j for column j.
+
+    Each independent set carries the set of all q^|I| vectors it spans,
+    listed coefficient by coefficient; I + j is independent exactly when
+    column j is not among them.  A set of `rows` columns spans the whole
+    space, so its span is not listed.
+    """
+    out = set()
+    rows = len(cols[0]) if cols else 0
+
+    def grow(mask, start, span):
+        out.add(mask)
+        for j in range(start, len(cols)):
+            if cols[j] in span:
+                continue
+            if mask.bit_count() + 1 == rows:
+                out.add(mask | 1 << j)
+            else:
+                step = [tuple(mul(c, x) for x in cols[j]) for c in range(q)]
+                grow(mask | 1 << j, j + 1,
+                     {tuple(map(add, v, w)) for v in span for w in step})
+
+    grow(0, 0, {(0,) * rows})
+    return out
+
+
 def brute_isomorphic(q, add, mul, cols_a, cols_b) -> bool:
     """Some column permutation preserves the brute-force rank of every subset."""
     n = len(cols_a)

@@ -182,6 +182,16 @@ def test_gen_graph_out_checks_the_field_suffix(tmp_path):
     assert out.read_text().startswith("graph n=10 m=15")
 
 
+@pytest.mark.parametrize("command", ["girth", "gen"])
+@pytest.mark.parametrize("gen_id", ["mk400", "mk81_dual", "mk100000", "u_0_10000001@gf2",
+                                    "u_1_10000001@gf3"])
+def test_large_generators_are_refused_by_the_entry_guard(capsys, command, gen_id):
+    code, rep = run_json(capsys, command, gen_id if command == "gen" else f"gen:{gen_id}")
+    assert code == 2
+    assert set(rep) == {"error"}
+    assert "10^7 entry guard" in rep["error"]["message"]
+
+
 def test_pg_is_built_over_the_requested_field(capsys):
     # GF(9) with modulus x^2+1 (code 10), not the bundled x^2+2x+2 (code 17)
     code, rep = run_json(capsys, "girth", "gen:pg_1_9", "--field", "9:10")

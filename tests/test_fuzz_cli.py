@@ -88,5 +88,9 @@ def test_graph_text_gives_report_or_structured_error(tmp_path_factory, text, suf
 
 @FUZZ
 @given(gen_id=_GEN_IDS, suffix=_SUFFIX, field=_FIELD)
+@example(gen_id="mk100000", suffix="", field=[])
+@example(gen_id="mk400_dual", suffix="@gf3", field=[])
+@example(gen_id="u_0_100000000", suffix="@gf2", field=[])
+@example(gen_id="u_1_100000000", suffix="", field=["--field", "4"])
 def test_gen_id_gives_report_or_structured_error(gen_id, suffix, field):
     _outcome(["girth", f"gen:{gen_id}{suffix}", *field])

@@ -22,7 +22,7 @@ from gfmatroids import (
     subset_rank,
     uniform,
 )
-from gfmatroids.generators import Graph, complete_graph
+from gfmatroids.generators import Graph, _check_entries, complete_graph
 
 from oracles import (
     brute_independent,
@@ -142,6 +142,27 @@ def test_projective_geometry_examples():
 def test_projective_geometry_guard():
     with pytest.raises(ValueError, match="guard"):
         projective_geometry(25, F3)
+
+
+def test_matrix_size_guard_counts_rank_times_elements():
+    _check_entries(10, 10**6)
+    _check_entries(0, 10**7)  # at rank 0 the elements alone count
+    with pytest.raises(ValueError, match=r"10\^7 entry guard"):
+        _check_entries(10, 10**6 + 1)
+    with pytest.raises(ValueError, match="10000001 elements at rank 0"):
+        _check_entries(0, 10**7 + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: clique(400, F2),  # 399 x 79,800
+    lambda: clique(81, F2, dualize=True),  # 3,160 x 3,240
+    lambda: clique(100_000, F2),
+    lambda: uniform(0, 10**7 + 1, F2),
+    lambda: uniform(1, 10**7 + 1, F3),
+], ids=["mk400", "mk81_dual", "mk100000", "u_0", "u_1"])
+def test_clique_and_uniform_refuse_large_matrices_before_building(build):
+    with pytest.raises(ValueError, match=r"exceeds the 10\^7 entry guard"):
+        build()
 
 
 def test_named_graphs_match_metadata_oracles():

@@ -43,7 +43,9 @@ from gfmatroids.matroid import (
     _weight_counts,
 )
 
-from oracles import brute_minor, graph_girth_oracle, edge_connectivity_oracle
+from oracles import (
+    brute_minor, edge_connectivity_oracle, graph_girth_oracle, independent_masks_oracle,
+)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -72,6 +74,13 @@ def test_girth_golden_values():
     pet = graphic(named_graph("petersen"), F2)
     g = named_graph("petersen")
     assert girth(pet) == graph_girth_oracle(g.n, g.edges) == 5
+
+
+def test_girth_of_mcgee_at_its_cutoff():
+    # 36 elements of rank 23: each size up to 7 closes with a pair test
+    # after at most 5 chosen columns, so this takes about 0.1 s
+    g = named_graph("mcgee")
+    assert girth(graphic(g, F2), cutoff=7) == graph_girth_oracle(g.n, g.edges) == 7
 
 
 def test_girth_cutoff_and_guard():
@@ -695,3 +704,74 @@ def test_sample_bases_seeded_gf3():
         ("e3", "e5", "e6"),
     ]
     assert set(got) <= {tuple(sorted(b)) for b in bases(m)}
+
+
+def _kernel_instances(q, add, mul):
+    """Seeded matrices over GF(q) of ranks 1-5 with forced loops and
+    parallel pairs, then, for s = 3 and 4, three generic columns followed
+    by an s-circuit that is the only dependent set of at most s columns:
+    a search that stops one start early misses it."""
+    rng = random.Random(7000 + q)
+    out = []
+    for i in range(10):
+        r = 1 + i % 5
+        n = rng.randint(r + 1, 8 if r < 5 else 7)
+        cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(n)]
+        if i % 3 == 0:
+            cols[rng.randrange(n)] = (0,) * r
+        if i % 3 == 1:
+            a, b = rng.sample(range(n), 2)
+            cols[b] = tuple(mul(rng.randrange(1, q), x) for x in cols[a])
+        out.append(cols)
+    for s in (3, 4):
+        r = s + 1
+        for _ in range(1000):
+            cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(2 + s)]
+            last = [0] * r
+            for col in cols[3:]:
+                c = rng.randrange(1, q)
+                last = [add(x, mul(c, y)) for x, y in zip(last, col)]
+            cols.append(tuple(last))
+            indep = independent_masks_oracle(q, add, mul, cols)
+            n = len(cols)
+            small = [c for k in range(1, s + 1) for c in combinations(range(n), k)
+                     if sum(1 << j for j in c) not in indep]
+            if small == [tuple(range(n - s, n))]:
+                out.append(cols)
+                break
+        else:
+            raise AssertionError(f"no GF({q}) instance with a lone last {s}-circuit")
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_span_kernel_matches_independent_set_oracle(q):
+    from oracles import field_ops_oracle
+
+    f = field_from_order(q)
+    add_o, mul_o = field_ops_oracle(f.p, f.k, f.modulus)
+    add_t = [[add_o(a, b) for b in range(q)] for a in range(q)]
+    mul_t = [[mul_o(a, b) for b in range(q)] for a in range(q)]
+    add, mul = (lambda a, b: add_t[a][b]), (lambda a, b: mul_t[a][b])
+    for cols in _kernel_instances(q, add, mul):
+        n, rows = len(cols), len(cols[0])
+        m = RepMatroid(f, GFMatrix.from_cols(f, cols, rows), [f"e{j}" for j in range(n)])
+        indep = independent_masks_oracle(q, add, mul, cols)
+        r = max(s.bit_count() for s in indep)
+        assert m.rank == r
+        sizes = [s for s in range(1, n + 1)
+                 if any(sum(1 << j for j in c) not in indep for c in combinations(range(n), s))]
+        expected = sizes[0] if sizes else math.inf
+        assert girth(m) == expected
+        for cutoff in range(1, r + 2):
+            assert girth(m, cutoff=cutoff) == (expected if expected <= cutoff else None)
+        assert bases(m) == [tuple(m.labels[j] for j in c) for c in combinations(range(n), r)
+                            if sum(1 << j for j in c) in indep]
+        dependent = []
+        masks = _independent_masks(m._kernel, m._packed(), dependent)
+        assert sorted(masks) == sorted(indep)
+        # I + j for an independent I below rank and a column j after I's last
+        assert sorted(dependent) == sorted(
+            s | 1 << j for s in indep if s.bit_count() < r
+            for j in range(s.bit_length(), n) if s | 1 << j not in indep
+        )
