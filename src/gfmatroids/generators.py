@@ -67,11 +67,17 @@ def complete_graph(t: int) -> Graph:
 
 
 def _check_entries(rank: int, elements: int) -> None:
-    """Refuse, before anything is built, a matrix of more than 10^7 entries
-    (rank x elements, or the elements alone at rank 0)."""
-    if max(rank, 1) * elements > 10**7:
-        count = f"{rank * elements} entries" if rank else f"{elements} elements at rank 0"
-        raise ValueError(f"a {rank} x {elements} matrix ({count}) exceeds the 10^7 entry guard")
+    """Refuse, before anything is built, more than 10^6 elements (the bound
+    `pg` uses), as each costs a label and an index entry at any rank, or a
+    matrix of more than 10^7 entries (rank x elements)."""
+    if elements > 10**6:
+        count = f"{elements} elements"
+    elif rank * elements > 10**7:
+        count = f"{rank * elements} entries"
+    else:
+        return
+    raise ValueError(f"a {rank} x {elements} matrix ({count}) exceeds the 10^7 entry guard"
+                     " (at most 10^7 entries and 10^6 elements)")
 
 
 def clique(t: int, f: FieldSpec, dualize: bool = False) -> RepMatroid:

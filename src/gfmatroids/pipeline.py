@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
@@ -47,6 +47,7 @@ from .matroid import (
     cosimple_certificate,
     girth,
     has_minor,
+    is_isomorphic,
     sample_bases,
     simplify,
 )
@@ -260,6 +261,13 @@ def _clique(t: int, field: FieldSpec, dualize: bool) -> RepMatroid:
     return generators.clique(t, field, dualize=dualize)
 
 
+@lru_cache(maxsize=16)
+def _dual_clique_is_isomorphic(t: int, field: FieldSpec) -> bool:
+    # true only at t = 4, as K4 is a self-dual plane graph; for every other
+    # t the ranks t - 1 and C(t - 1, 2) differ, and is_isomorphic says so at once
+    return is_isomorphic(_clique(t, field, False), _clique(t, field, True))
+
+
 # `all` basis enumeration is only attempted up to this many elements; larger
 # instances fall back to seeded sampling, and the report says which ran.
 ALL_BASES_LIMIT = 14
@@ -268,6 +276,13 @@ ALL_BASES_LIMIT = 14
 def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: int = 20,
                      seed: int = 0, instance_id: str = "instance") -> DichotomyReport:
     """Per-basis short circuits plus minor findings for M(K_t) and its dual.
+
+    One minor search runs per isomorphism class of target.  At t = 4,
+    M(K4)* is isomorphic to M(K4) (K4 is a self-dual plane graph), so the
+    `mk4` finding, witness included, is copied to `mk4_dual`: every screen
+    of `has_minor` and its final profile match are isomorphism invariants
+    of the target, and its (C, D) order depends only on the target's rank
+    and size, so a second search would repeat the first exactly.
 
     Rejects non-cosimple input with a certificate.  The recorded circuit is
     the worst case over the bases in scope: the largest of the per-basis
@@ -305,6 +320,9 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         # would refuse before building it
         if math.comb(t, 2) > MINOR_TARGET_LIMIT:
             findings.append(MinorFinding(tid, "skipped"))
+            continue
+        if dualize and _dual_clique_is_isomorphic(t, m.field):
+            findings.append(replace(findings[0], target=tid))
             continue
         try:
             witness = has_minor(m, _clique(t, m.field, dualize))

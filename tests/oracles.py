@@ -94,24 +94,36 @@ def brute_minor(m, target) -> bool:
 
     Contraction goes by the rank formula r_{M/C}(S) = r_M(S + C) - r_M(C)
     over every contract set C, dependent ones included, and isomorphism by
-    trying every bijection; ranks come from the library's `subset_rank`.
+    trying every bijection; ranks come from the library's `subset_rank`,
+    asked once per subset of m.
     """
     from gfmatroids import subset_rank
+
+    bit = {l: 1 << j for j, l in enumerate(m.labels)}
+    ranks: dict[int, int] = {}
+
+    def rank(mask: int) -> int:
+        if mask not in ranks:
+            ranks[mask] = subset_rank(m, [l for l in m.labels if mask & bit[l]])
+        return ranks[mask]
 
     tl = target.labels
     t_subsets = [S for size in range(len(tl) + 1) for S in combinations(tl, size)]
     t_ranks = {S: subset_rank(target, S) for S in t_subsets}
     for csize in range(m.size - target.size + 1):
         for cset in combinations(m.labels, csize):
-            r_c = subset_rank(m, cset)
+            cmask = sum(bit[l] for l in cset)
+            r_c = rank(cmask)
             rest_pool = [l for l in m.labels if l not in cset]
             dsize = m.size - target.size - csize
             for dset in combinations(rest_pool, dsize):
                 rest = [l for l in rest_pool if l not in dset]
+                if rank(cmask | sum(bit[l] for l in rest)) - r_c != t_ranks[tuple(tl)]:
+                    continue  # every bijection fails on the whole ground set
                 for perm in permutations(rest):
                     mapping = dict(zip(tl, perm))
                     if all(
-                        subset_rank(m, {mapping[x] for x in S} | set(cset)) - r_c == t_ranks[S]
+                        rank(cmask | sum(bit[mapping[x]] for x in S)) - r_c == t_ranks[S]
                         for S in t_subsets
                     ):
                         return True

@@ -184,7 +184,7 @@ def test_gen_graph_out_checks_the_field_suffix(tmp_path):
 
 @pytest.mark.parametrize("command", ["girth", "gen"])
 @pytest.mark.parametrize("gen_id", ["mk400", "mk81_dual", "mk100000", "u_0_10000001@gf2",
-                                    "u_1_10000001@gf3"])
+                                    "u_1_10000001@gf3", "u_0_1000001@gf2"])
 def test_large_generators_are_refused_by_the_entry_guard(capsys, command, gen_id):
     code, rep = run_json(capsys, command, gen_id if command == "gen" else f"gen:{gen_id}")
     assert code == 2

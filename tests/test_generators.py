@@ -146,11 +146,13 @@ def test_projective_geometry_guard():
 
 def test_matrix_size_guard_counts_rank_times_elements():
     _check_entries(10, 10**6)
-    _check_entries(0, 10**7)  # at rank 0 the elements alone count
-    with pytest.raises(ValueError, match=r"10\^7 entry guard"):
-        _check_entries(10, 10**6 + 1)
-    with pytest.raises(ValueError, match="10000001 elements at rank 0"):
-        _check_entries(0, 10**7 + 1)
+    _check_entries(0, 10**6)  # the ground set is bounded at every rank
+    with pytest.raises(ValueError, match=r"10000001 entries\) exceeds the 10\^7 entry guard"):
+        _check_entries(11, 909_091)
+    with pytest.raises(ValueError, match=r"1000001 elements\) exceeds the 10\^7 entry guard"):
+        _check_entries(0, 10**6 + 1)
+    with pytest.raises(ValueError, match="1000001 elements"):
+        _check_entries(1, 10**6 + 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -159,7 +161,8 @@ def test_matrix_size_guard_counts_rank_times_elements():
     lambda: clique(100_000, F2),
     lambda: uniform(0, 10**7 + 1, F2),
     lambda: uniform(1, 10**7 + 1, F3),
-], ids=["mk400", "mk81_dual", "mk100000", "u_0", "u_1"])
+    lambda: uniform(0, 10**6 + 1, F2),  # few entries, but the ground set is too large
+], ids=["mk400", "mk81_dual", "mk100000", "u_0", "u_1", "u_0_1000001"])
 def test_clique_and_uniform_refuse_large_matrices_before_building(build):
     with pytest.raises(ValueError, match=r"exceeds the 10\^7 entry guard"):
         build()

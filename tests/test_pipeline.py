@@ -1,5 +1,6 @@
 import pytest
 
+import random
 import re
 import time
 
@@ -18,7 +19,9 @@ from gfmatroids import (
     find_short_circuit,
     from_id,
     graphic,
+    has_minor,
     is_circuit,
+    is_cosimple,
     named_graph,
     packing_ratios,
     projective_geometry,
@@ -34,8 +37,8 @@ from gfmatroids.generators import Graph
 from gfmatroids.matroid import GIRTH_LIMIT
 
 from oracles import (
-    brute_rank, field_ops_oracle, graph_girth_oracle, is_graph_cycle, pair_circuit_size_oracle,
-    short_circuit_reference,
+    brute_isomorphic, brute_minor, brute_rank, field_ops_oracle, graph_girth_oracle, is_graph_cycle,
+    pair_circuit_size_oracle, short_circuit_reference,
 )
 
 F2 = field_from_order(2)
@@ -175,6 +178,68 @@ def test_verify_dichotomy_skips_large_targets_without_building_them(monkeypatch,
     assert [(f.target, f.status) for f in rep.minors] == [
         (f"mk{t}", "skipped"), (f"mk{t}_dual", "skipped"),
     ]
+
+
+def _k4_minor_instances(f):
+    """Ten seeded random cosimple matroids of rank 3-4 and 7 elements over f,
+    and two seeded one-column extensions of M(K4), which hold an M(K4) minor."""
+    out, seed = [], 0
+    while len(out) < 10:
+        seed += 1
+        m = random_matroid(3 + seed % 2, 7, f, seed=9000 + 100 * f.q + seed)
+        if is_cosimple(m):
+            out.append(m)
+    mk4 = clique(4, f)
+    rows = rref(mk4.matrix).matrix.row_tuples()[:mk4.rank]
+    rng = random.Random(f.q)
+    for _ in range(2):
+        extended = [row + (rng.randrange(f.q),) for row in rows]
+        out.append(RepMatroid(f, GFMatrix(f, extended), mk4.labels + ("x",)))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_verify_mk4_dual_finding_matches_its_own_minor_search(q):
+    # verify copies the mk4 finding to mk4_dual, as M(K4)* is isomorphic to
+    # M(K4); the copy must be what a search for M(K4)* itself returns
+    f = field_from_order(q)
+    mk4, mk4_dual = clique(4, f), clique(4, f, dualize=True)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    assert brute_isomorphic(q, add, mul, mk4.matrix.col_tuples(), mk4_dual.matrix.col_tuples())
+    statuses = set()
+    for m in _k4_minor_instances(f):
+        findings = {x.target: x for x in verify_dichotomy(m, 4).minors}
+        witness = has_minor(m, mk4_dual)
+        if witness is None:
+            assert findings["mk4_dual"] == pipeline.MinorFinding("mk4_dual", "absent")
+        else:
+            dels, cons = witness
+            assert findings["mk4_dual"] == pipeline.MinorFinding(
+                "mk4_dual", "found", tuple(sorted(dels)), tuple(sorted(cons)))
+        assert (witness is not None) == brute_minor(m, mk4_dual)
+        statuses.add(findings["mk4_dual"].status)
+    assert statuses == {"found", "absent"}
+
+
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("t, searches", [(3, 2), (4, 1), (5, 2)])
+def test_verify_runs_one_minor_search_per_target_isomorphism_class(monkeypatch, q, t, searches):
+    # only M(K4) is isomorphic to its dual, so only t = 4 saves a search
+    real, targets = pipeline.has_minor, []
+
+    def counted(m, target):
+        targets.append(target)
+        return real(m, target)
+
+    monkeypatch.setattr(pipeline, "has_minor", counted)
+    rep = verify_dichotomy(clique(5, field_from_order(q)), t)
+    assert len(targets) == searches
+    first, second = rep.minors
+    assert (first.target, second.target) == (f"mk{t}", f"mk{t}_dual")
+    if t == 4:
+        assert first.status == "found"
+        assert (second.status, second.delete, second.contract) == (
+            first.status, first.delete, first.contract)
 
 
 @pytest.mark.parametrize("t", [1, 0, -3])
