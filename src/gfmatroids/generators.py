@@ -126,14 +126,8 @@ def projective_geometry(r: int, f: FieldSpec) -> RepMatroid:
         raise ValueError(f"projective geometry needs rank >= 1, got {r}")
     if f.q**r > 10**6:
         raise ValueError(f"q^r = {f.q ** r} exceeds the 10^6 enumeration guard")
-    cols = []
-    for vec in itertools.product(range(f.q), repeat=r):
-        if not any(vec):
-            continue
-        lead = next(x for x in vec if x)
-        if lead != 1:
-            continue  # not the canonical representative of its class
-        cols.append(vec)
+    # each nonzero vector that is its own normal form, once per class
+    cols = [v for v in itertools.product(range(f.q), repeat=r) if f.normalize(v) == v]
     labels = [f"e{j}" for j in range(len(cols))]
     return RepMatroid(f, GFMatrix.from_cols(f, cols, r), labels)
 

@@ -417,8 +417,8 @@ def simplify(m: RepMatroid) -> RepMatroid:
 def cosimple_certificate(m: RepMatroid) -> Optional[tuple[str, tuple[str, ...]]]:
     """None when cosimple; else ("coloop", (e,)) or ("series_pair", (e, e')).
 
-    Convention: any coloop or series pair disqualifies, so free matroids
-    are never cosimple (every element is a coloop).
+    Convention: any coloop or series pair disqualifies, so nonempty free
+    matroids are never cosimple (every element is a coloop).
     """
     d = dual(m)
     ids = _class_ids(d)  # loops of the dual are coloops, its parallel classes series classes

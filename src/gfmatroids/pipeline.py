@@ -10,20 +10,14 @@ circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
-One extractor serves every caller, over the `standard_form` of one basis
-at a time.  `_a_columns` reads the columns of A by non-basis label, and
-`_pair_circuits` builds the basis's set system, runs `separation` on it
-and finds the circuits of its closest pairs.  `find_short_circuit` lists
-them with the fundamental circuits to pick the smallest.
-
 The harness needs only the worst basis: the first in list order whose
 short circuit is largest.  `_worst_basis` walks the list once with two
 upper bounds, as a short circuit is at most any fundamental circuit.  A
 known fundamental circuit of an earlier basis that has one element
 outside a basis is one of that basis's own, so the basis may be passed
 over before its standard form; the smallest fundamental circuit, read
-from A, may spare a reduced basis its pair scan.  The harness then runs
-`find_short_circuit` on the one worst basis.
+from A, may spare a reduced basis its pair scan.  `find_short_circuit`
+is its one-basis case.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
 
 from .gf import FieldSpec
-from .gfmatrix import StandardForm, standard_form
+from .gfmatrix import standard_form
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -86,32 +80,13 @@ def find_short_circuit(m: RepMatroid, basis: Iterable[str]) -> tuple[frozenset[s
     the smaller circuit by sorted labels, then to a fundamental circuit over
     a pair circuit.
     """
-    sf = standard_form(m.matrix, m.labels, basis)
-    cols = _a_columns(sf)
-    sep, pair_circuits = _pair_circuits(m, sf, cols)
-    candidates = []
-    for e, col in cols.items():
-        circ = frozenset(compress(sf.basis_order, col)) | {e}
-        candidates.append((len(circ), tuple(sorted(circ)), circ, "fundamental"))
-    best_fund = min(candidates)[0]
-    for circ in pair_circuits:
-        candidates.append((len(circ), tuple(sorted(circ)), circ, "pair"))
-    _, _, best, source = min(candidates)
-    stats = ShortCircuitStats(
-        nonbasis_count=len(best.difference(sf.basis_order)),
-        min_sym_diff=sep and sep.sym_diff,
-        min_sym_pair=sep and sep.min_pair,
-        pair_hamming=sep and sep.hamming,
-        min_hamming=sep and sep.min_hamming,
-        best_fundamental=best_fund,
-        source=source,
-    )
-    return best, stats
+    return _worst_basis(m, [basis])[1:]
 
 
-def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[int, int]:
-    """(position, size) of the first basis in `basis_list` whose short
-    circuit is largest, sizing as few bases as it can.
+def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]
+                 ) -> tuple[int, frozenset[str], ShortCircuitStats]:
+    """(position, short circuit, stats) of the first basis in `basis_list`
+    whose short circuit is largest, sizing as few bases as it can.
 
     A short circuit is at most the smallest fundamental circuit, so a basis
     whose bound is below the best size so far, or equal to it with the basis
@@ -119,15 +94,17 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
     the pair scan.  Before `standard_form`, a known fundamental circuit C of
     an earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and
     bounds B.  A pruned entry is never checked to be a basis, so callers pass
-    lists from `bases` or `sample_bases`.
+    lists from `bases` or `sample_bases`.  The circuit and its stats are
+    built only for a basis that becomes the worst so far.
     """
     # an unknown label gets no bit here; `standard_form` rejects it
     bit = defaultdict(int, {l: 1 << j for j, l in enumerate(m.labels)})
     full = (1 << m.size) - 1
     known: list[set[int]] = [set() for _ in range(m.rank + 2)]  # circuit masks by size
     best = (0, 0)  # (size, -position) of the answer so far
+    worst = None
 
-    def pruned(pos: int, basis: Iterable[str]) -> bool:
+    def pruned(pos: int, basis: tuple[str, ...]) -> bool:
         outside = full ^ sum(map(bit.__getitem__, basis))
         for size in range(1, len(known)):
             if (size, -pos) >= best:
@@ -138,11 +115,14 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
                     return True
         return False
 
-    for pos, basis in enumerate(basis_list):
+    # each entry is read twice, by `pruned` and by `standard_form`
+    for pos, basis in enumerate(map(tuple, basis_list)):
         if pruned(pos, basis):
             continue
         sf = standard_form(m.matrix, m.labels, basis)
-        cols = _a_columns(sf)
+        if not sf.nonbasis_order:
+            raise NoCircuitError("free matroid has no circuits")
+        cols = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
         rows = [bit[b] for b in sf.basis_order]
         bound = len(rows) + 1
         for e, col in cols.items():
@@ -151,37 +131,34 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]) -> tuple[in
             bound = min(bound, size)
         if (bound, -pos) < best:
             continue
-        _, pair_circuits = _pair_circuits(m, sf, cols)
-        best = max(best, (min([bound] + [len(c) for c in pair_circuits]), -pos))
-    return -best[1], best[0]
-
-
-def _a_columns(sf: StandardForm) -> dict[str, tuple[int, ...]]:
-    """{non-basis label: its column of A}; a fundamental circuit is the
-    column's support in `sf.basis_order` plus its label."""
-    if not sf.nonbasis_order:
-        raise NoCircuitError("free matroid has no circuits")
-    return dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
-
-
-def _pair_circuits(m: RepMatroid, sf: StandardForm, cols: dict[str, tuple[int, ...]]):
-    """(separation, circuits) of the basis of `sf`, given its `_a_columns`:
-    the `separation` of its set system, None with fewer than two non-basis
-    columns, and the circuit of each distinct closest pair as a frozenset."""
-    if len(cols) < 2:
-        return None, []
-    sep = separation(build_set_system(sf))
-    circuits = []
-    for e, f in dict.fromkeys([sep.min_pair, sep.hamming_pair]):
-        pair_set = frozenset(b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y) | {e, f}
-        if any(x == y != 0 for x, y in zip(cols[e], cols[f])):
-            # a_e and a_f share a nonzero entry, so e is outside the span of
-            # the differing rows: the pair set has nullity 1, and its one
-            # dependency e - f - sum (a_e - a_f)_b b has full support
-            circuits.append(pair_set)
-        else:
-            circuits.append(circuit_of_dependent(m, pair_set))
-    return sep, circuits
+        sep, pairs = None, []
+        if len(cols) >= 2:
+            sep = separation(build_set_system(sf))
+            for e, f in dict.fromkeys([sep.min_pair, sep.hamming_pair]):
+                circ = frozenset(b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y) | {e, f}
+                # when a_e and a_f share a nonzero entry, e is outside the span
+                # of the differing rows: the pair set has nullity 1, and its one
+                # dependency e - f - sum (a_e - a_f)_b b has full support
+                if not any(x == y != 0 for x, y in zip(cols[e], cols[f])):
+                    circ = circuit_of_dependent(m, circ)
+                pairs.append(circ)
+        if (min([bound] + [len(c) for c in pairs]), -pos) < best:
+            continue
+        fundamentals = [frozenset(compress(sf.basis_order, col)) | {e} for e, col in cols.items()]
+        candidates = [(len(c), tuple(sorted(c)), c, "fundamental") for c in fundamentals]
+        candidates += [(len(c), tuple(sorted(c)), c, "pair") for c in pairs]
+        size, _, circ, source = min(candidates)
+        best = (size, -pos)
+        worst = pos, circ, ShortCircuitStats(
+            nonbasis_count=len(circ.difference(sf.basis_order)),
+            min_sym_diff=sep and sep.sym_diff,
+            min_sym_pair=sep and sep.min_pair,
+            pair_hamming=sep and sep.hamming,
+            min_hamming=sep and sep.min_hamming,
+            best_fundamental=bound,
+            source=source,
+        )
+    return worst
 
 
 @dataclass(frozen=True)
@@ -307,12 +284,10 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
     if not basis_list:
         raise NoCircuitError("no bases found")
 
-    pos, worst = _worst_basis(m, basis_list)
-    worst_basis = tuple(basis_list[pos])
-    circ, stats = find_short_circuit(m, worst_basis)
+    pos, circ, stats = _worst_basis(m, basis_list)
     # the girth is at most every short circuit, so this cutoff never binds:
     # the search stops at the girth, and no size guard applies
-    g = girth(m, cutoff=worst)
+    g = girth(m, cutoff=len(circ))
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):
@@ -346,7 +321,7 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         min_sym_diff=stats.min_sym_diff,
         minors=tuple(findings),
         density=density,
-        basis=worst_basis,
+        basis=tuple(basis_list[pos]),
         basis_mode=mode_used,
         bases_checked=len(basis_list),
     )

@@ -249,6 +249,13 @@ def test_verify_t_below_2_exits_2(tmp_path, capsys):
     assert rep["error"]["message"] == "clique needs t >= 2, got 1"
 
 
+def test_verify_of_the_empty_matroid_exits_2(capsys):
+    # the empty matroid is free and cosimple, with no circuit to report
+    code, rep = run_json(capsys, "verify", "gen:u_0_0@gf2", "--t", "3")
+    assert code == 2
+    assert rep == {"error": {"type": "NoCircuitError", "message": "free matroid has no circuits"}}
+
+
 def test_verify_mk4_dual(capsys):
     code, rep = run_json(capsys, "verify", "gen:mk4_dual", "--t", "4")
     assert code == 0

@@ -323,8 +323,12 @@ def test_short_circuit_is_the_smallest_pair_circuit_over_gfq(q):
     assert all(got == best for got, best in sizes)
 
 
-def _first_worst(sizes):
-    return sizes.index(max(sizes)), max(sizes)
+def _first_worst(refs):
+    """(position, circuit, stats) of the first of the reference results
+    `refs`, one per basis in list order, whose circuit is largest."""
+    sizes = [len(circ) for circ, _ in refs]
+    pos = sizes.index(max(sizes))
+    return (pos, *refs[pos])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -342,7 +346,7 @@ def test_short_circuit_matches_reference_on_every_basis(q):
         for basis_list in (bases(m), sample_bases(m, 8, seed=i)):
             for ordered in (basis_list, basis_list[::-1]):
                 assert pipeline._worst_basis(m, ordered) == _first_worst(
-                    [len(refs[b][0]) for b in ordered])
+                    [refs[b] for b in ordered])
 
 
 def test_short_circuit_sizes_with_more_rows_than_rank():
@@ -352,7 +356,7 @@ def test_short_circuit_sizes_with_more_rows_than_rank():
     key = lambda b: sorted(cube.labels.index(l) for l in b)
     assert sorted(sampled, key=key) != sampled
     assert pipeline._worst_basis(cube, sampled) == _first_worst(
-        [len(short_circuit_reference(cube, b)[0]) for b in sampled])
+        [short_circuit_reference(cube, b) for b in sampled])
 
 
 @pytest.mark.parametrize("bad, error", [(["0-1", "0-2", "1-2"], NotABasisError),
@@ -373,6 +377,36 @@ def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
         assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
 
+def test_short_circuit_reads_a_one_shot_basis_once():
+    pet = graphic(named_graph("petersen"), F2)
+    basis = bases(pet)[0]
+    circ, stats = find_short_circuit(pet, (label for label in basis))
+    assert len(circ) == 5
+    assert (circ, stats) == find_short_circuit(pet, basis) == short_circuit_reference(pet, basis)
+
+
+def test_verify_dichotomy_reduces_no_basis_past_the_worst_basis_walk(monkeypatch):
+    # the walk's circuit and stats are the report's: verify makes no
+    # `standard_form` or `separation` call of its own
+    counts = {}
+    for name in ("standard_form", "separation"):
+        def counted(*args, _fn=getattr(pipeline, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    pet = graphic(named_graph("petersen"), F2)
+    gf3 = random_matroid(4, 9, F3, seed=1)
+    for m, t, mode, basis_list in ((pet, 5, "sample", sample_bases(pet, 20, seed=0)),
+                                   (gf3, 4, "all", bases(gf3))):
+        counts.clear()
+        rep = verify_dichotomy(m, t, basis_mode=mode, samples=20)
+        in_verify = dict(counts)
+        counts.clear()
+        pos, circ, _ = pipeline._worst_basis(m, basis_list)
+        assert (rep.basis, rep.circuit) == (basis_list[pos], tuple(sorted(circ)))
+        assert in_verify == counts and counts["standard_form"] > 0 and counts["separation"] > 0
+
+
 def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
     m = RepMatroid(F3, GFMatrix(F3, [[0, 0, 0, 1, 0, 2, 2, 1], [1, 2, 0, 2, 0, 2, 2, 0],
                                      [1, 2, 1, 2, 2, 1, 2, 1]]),
@@ -381,7 +415,7 @@ def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
     # two bases tie at the largest size; the later one comes first in column order
     assert sampled[1] == ("e5", "e6", "e7") and sampled[3] == ("e3", "e5", "e6")
     assert [len(find_short_circuit(m, b)[0]) for b in sampled] == [2, 3, 2, 3]
-    assert pipeline._worst_basis(m, sampled) == (1, 3)
+    assert pipeline._worst_basis(m, sampled) == (1, *find_short_circuit(m, sampled[1]))
     rep = verify_dichotomy(m, 3, basis_mode="sample", samples=4, seed=3)
     assert rep.basis == ("e5", "e6", "e7")
     assert rep.circuit_size == 3
@@ -423,7 +457,7 @@ def test_pair_sharing_a_nonzero_entry_is_its_own_circuit(monkeypatch):
                    ["b1", "b2", "b3", "b4", "e", "f"])
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f") and stats.source == "pair"
-    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, 3)
+    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, circ, stats)
     assert calls == []
     assert circ == {"b4", "e", "f"}
     _assert_circuit_by_brute_force(m, circ)
@@ -437,7 +471,7 @@ def test_pair_with_disjoint_supports_is_shrunk(monkeypatch):
     (circ, stats), calls = _spied_short_circuit(monkeypatch, m, ["b1", "b2", "b3", "b4"])
     assert stats.min_sym_pair == ("e", "f")
     assert calls == [frozenset(m.labels)]
-    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, 3)
+    assert pipeline._worst_basis(m, [["b1", "b2", "b3", "b4"]]) == (0, circ, stats)
     assert calls == [frozenset(m.labels)] * 2
     assert circ == {"b1", "b2", "e"}
     _assert_circuit_by_brute_force(m, circ)
