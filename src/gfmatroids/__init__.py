@@ -11,7 +11,6 @@ from .gfmatrix import (
     GfmParseError,
     NotABasisError,
     StandardForm,
-    in_span,
     parse_gfm,
     format_gfm,
     rref,
@@ -30,7 +29,6 @@ from .matroid import (
     has_minor,
     is_circuit,
     is_cosimple,
-    is_independent,
     is_isomorphic,
     matroid_from_gfm,
     matroid_to_gfm,
@@ -49,7 +47,6 @@ from .setsystem import (
     build_set_system,
     canonical_system,
     claim_chain_check,
-    export_adjacency,
     greedy_delta_packing,
     hamming_distance,
     separation,

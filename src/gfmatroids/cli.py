@@ -156,7 +156,7 @@ def _set_system_header(args: argparse.Namespace) -> tuple[SetSystem, dict]:
 
 def _cmd_shatter(args: argparse.Namespace) -> tuple[int, dict]:
     system, rep = _set_system_header(args)
-    res = shatter(system, args.m, trials=args.trials, seed=args.seed, budget=args.budget)
+    res = shatter(system, args.m, trials=args.trials, seed=args.seed)
     rep.update({
         "m": res.m,
         "mode": "exact" if res.exact else "sampled",
@@ -176,7 +176,7 @@ def _cmd_separation(args: argparse.Namespace) -> tuple[int, dict]:
         "min_pair": list(sep.min_pair),
         "sym_diff": sep.sym_diff,
         "hamming": sep.hamming,
-        "delta_separated_at": sep.delta_separated_at,
+        "delta_separated_at": sep.sym_diff,
         "packings": packing_ratios(system, args.deltas),
     })
     return 0, rep
@@ -240,8 +240,6 @@ _COMMANDS = {
     "simplify": (_cmd_transform, []),
     "shatter": (_cmd_shatter, [
         ("--m", {"type": int, "required": True}),
-        ("--budget", {"type": int, "default": 10**7,
-                      "help": "most subsets exact mode may enumerate"}),
         ("--trials", {"type": int, "help": "use seeded sampling instead of exact mode"}),
         _SEED,
     ]),

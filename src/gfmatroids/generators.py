@@ -93,8 +93,10 @@ def clique(t: int, f: FieldSpec, dualize: bool = False) -> RepMatroid:
 def uniform(t: int, n: int, f: FieldSpec) -> RepMatroid:
     """U_{t,n} via moments of distinct scalars, plus a point at infinity.
 
-    Representability needs q >= n - 1 for t >= 2; an unrepresentable request
-    is an error rather than a silent field change.
+    The moments give at most q + 1 columns.  Past that, U_{n-1,n} and
+    U_{n,n} are built as the duals of U_{1,n} and U_{0,n}, and any other
+    request is an error rather than a silent field change, even where
+    GF(q) represents U_{t,n}: U_{3,6} over GF(4), a hyperoval, is refused.
     """
     if not 0 <= t <= n:
         raise ValueError(f"uniform needs 0 <= t <= n, got t={t}, n={n}")
@@ -105,6 +107,8 @@ def uniform(t: int, n: int, f: FieldSpec) -> RepMatroid:
     if t == 1:
         return RepMatroid(f, GFMatrix.from_cols(f, [(1,)] * n, 1), labels)
     if f.q < n - 1:
+        if t >= n - 1:
+            return dual(uniform(n - t, n, f))
         raise ValueError(
             f"U_{{{t},{n}}} needs q >= {n - 1}, got GF({f.q})"
         )

@@ -143,11 +143,6 @@ class FieldSpec:
 
     # -- scalar operations ---------------------------------------------------
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element code {a} out of range for GF({self.q})")
-        return a
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 

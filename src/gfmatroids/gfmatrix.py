@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): row reduction, span tests, standard form.
+"""Dense matrices over GF(q): row reduction, standard form, the `.gfm` format.
 
 Entries are stored as a tuple of row tuples of element codes, the form
 every kernel reads; numpy only backs the read-only `GFMatrix.data` array,
@@ -214,25 +214,6 @@ def _canonical_standard_form(m: GFMatrix, labels: Sequence[str]) -> StandardForm
                         tuple(labels[j] for j in rest), GFMatrix(m.field, a, len(rest)))
 
 
-def in_span(m: GFMatrix, cols: Sequence[int], v: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Coefficients expressing v over the selected columns, or None.
-
-    The returned tuple is indexed like `cols`; free coefficients are 0.
-    """
-    if len(v) != m.rows:
-        raise ValueError(f"vector length {len(v)} != {m.rows} rows")
-    cols = list(cols)
-    aug = [[row[c] for c in cols] + [m.field.check(int(x))]
-           for row, x in zip(m.row_tuples(), v)]
-    piv = _gauss_jordan(m.field, aug, range(len(cols) + 1))
-    if len(cols) in piv:
-        return None
-    coeffs = [0] * len(cols)
-    for c, r in piv.items():
-        coeffs[c] = aug[r][-1]
-    return tuple(coeffs)
-
-
 # -- `.gfm` text format -------------------------------------------------------
 #
 # line 1: gfm q=<q> rows=<r> cols=<c> [modulus=<int>]
@@ -289,6 +270,8 @@ def parse_gfm(text: str) -> tuple[FieldSpec, GFMatrix, Optional[tuple[str, ...]]
             raise GfmParseError(
                 f"line {at + 1}: {len(labels)} labels for {ncols} columns"
             )
+        if len(set(labels)) != ncols:
+            raise GfmParseError(f"line {at + 1}: labels must be distinct")
         at += 1
     elif not nrows and ncols:
         # no row or label backs the width, so it is not trusted

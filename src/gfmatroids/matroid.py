@@ -184,11 +184,6 @@ def subset_rank(m: RepMatroid, s: Iterable[str]) -> int:
     return _rank(m._kernel, [cols[j] for j in m.indices_of(s)])
 
 
-def is_independent(m: RepMatroid, s: Iterable[str]) -> bool:
-    s = list(s)
-    return subset_rank(m, s) == len(s)
-
-
 # -- girth ---------------------------------------------------------------------
 
 

@@ -28,6 +28,9 @@ class InsufficientFamilyError(ValueError):
     """Pairwise analyses need at least two member sets."""
 
 
+SHATTER_LIMIT = 10**7  # most ground subsets an exact `shatter` enumerates
+
+
 GroundPair = tuple[str, int]
 
 
@@ -56,10 +59,6 @@ class SetSystem:
             self._support[label] = nz & row_starts
 
     @property
-    def q(self) -> int:
-        return self.field.q
-
-    @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.members)
 
@@ -86,9 +85,6 @@ class SetSystem:
                 raise ValueError(f"{p!r} is not a ground element")
             mask |= 1 << pos
         return mask
-
-    def pairs_of_mask(self, mask: int) -> list[GroundPair]:
-        return [p for i, p in enumerate(self.ground) if mask >> i & 1]
 
 
 def build_set_system(sf: StandardForm) -> SetSystem:
@@ -138,13 +134,12 @@ class ShatterResult:
     subsets_checked: int
 
 
-def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0,
-            budget: int = 10**7) -> ShatterResult:
+def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0) -> ShatterResult:
     """Maximum trace count over m-element ground subsets.
 
-    Without `trials`, all C(|V|, m) subsets are enumerated under the budget
-    and the value is exact; with it, that many seeded random subsets give a
-    lower bound.
+    Without `trials`, all C(|V|, m) subsets are enumerated and the value is
+    exact; more than `SHATTER_LIMIT` of them is a ValueError.  With it, that
+    many seeded random subsets give a lower bound.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -158,9 +153,9 @@ def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0,
     exact = trials is None
     if exact:
         n_subsets = math.comb(g, m)
-        if n_subsets > budget:
+        if n_subsets > SHATTER_LIMIT:
             raise ValueError(
-                f"exact shatter needs {n_subsets} subsets, over the budget {budget}"
+                f"exact shatter needs {n_subsets} subsets, over the limit {SHATTER_LIMIT}"
             )
         subsets = combinations(range(g), m)
     else:
@@ -184,7 +179,6 @@ class SeparationReport:
     min_pair: tuple[str, str]
     sym_diff: int
     hamming: int  # Hamming distance of min_pair
-    delta_separated_at: int
     hamming_pair: tuple[str, str]  # closest pair by Hamming distance
     min_hamming: int
 
@@ -207,7 +201,7 @@ def separation(s: SetSystem) -> SeparationReport:
         if ham is None or h < ham[0]:
             ham = (h, (e, f))
     (d, h, pair), (min_h, ham_pair) = sym, ham
-    return SeparationReport(pair, d, h, d, ham_pair, min_h)
+    return SeparationReport(pair, d, h, ham_pair, min_h)
 
 
 def greedy_delta_packing(s: SetSystem, delta: int) -> list[str]:
@@ -250,12 +244,3 @@ def claim_chain_check(s: SetSystem, sf: StandardForm, w: Iterable[GroundPair]) -
     distinct = len(restricted)
     ok = traces <= distinct <= (field.q - 1) * len(classes) + 1
     return ChainCheck(traces, distinct, len(classes), ok, b_w)
-
-
-def export_adjacency(s: SetSystem) -> str:
-    """One line per member: label followed by its (b,alpha) pairs."""
-    out = []
-    for label, mask in s.members:
-        pairs = s.pairs_of_mask(mask)
-        out.append(label + " " + " ".join(f"({b},{a})" for b, a in pairs))
-    return "\n".join(out) + "\n"

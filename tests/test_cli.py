@@ -1,10 +1,12 @@
 import argparse
 import json
+import math
 
 import pytest
 
-from gfmatroids import matroid_from_gfm
+from gfmatroids import dual, matroid_from_gfm, parse_gfm
 from gfmatroids.cli import build_parser, main, resolve_instance
+from gfmatroids.setsystem import SHATTER_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -104,12 +106,19 @@ def test_unsupported_field_order_is_a_parse_error(tmp_path, capsys):
 
 
 def test_budget_only_on_shatter(capsys):
-    code, rep = run_json(capsys, "girth", "gen:mk4", "--budget", "5")
+    # the exact-shatter limit is a constant: no command takes --budget
+    for argv in (["girth", "gen:mk4"], ["shatter", "gen:mk4", "--m", "2"]):
+        code, rep = run_json(capsys, *argv, "--budget", "5")
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert "--budget" in rep["error"]["message"]
+    # 2 rows x 250 nonzero values: C(500, 4) ground subsets, over the limit
+    code, rep = run_json(capsys, "shatter", "gen:u_2_6@gf251", "--m", "4")
     assert code == 2
-    assert rep["error"]["type"] == "InputError"
-    code, rep = run_json(capsys, "shatter", "gen:petersen@gf2", "--m", "4", "--budget", "5")
-    assert code == 2
-    assert "budget" in rep["error"]["message"]
+    assert rep["error"] == {
+        "type": "ValueError",
+        "message": f"exact shatter needs {math.comb(500, 4)} subsets, over the limit {SHATTER_LIMIT}",
+    }
 
 
 def test_each_command_registers_only_its_options():
@@ -118,7 +127,7 @@ def test_each_command_registers_only_its_options():
         "girth": {"--cutoff"},
         "dual": set(),
         "simplify": set(),
-        "shatter": {"--m", "--budget", "--trials", "--seed"},
+        "shatter": {"--m", "--trials", "--seed"},
         "separation": {"--deltas"},
         "verify": {"--t", "--basis", "--seed"},
         "minor": {"--target"},
@@ -256,6 +265,20 @@ def test_verify_of_the_empty_matroid_exits_2(capsys):
     assert rep == {"error": {"type": "NoCircuitError", "message": "free matroid has no circuits"}}
 
 
+def test_verify_basis_all_is_the_default(capsys):
+    argv = ["verify", "gen:mk4_dual", "--t", "4"]
+    assert run_cli(capsys, *argv, "--basis", "all") == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("gen_id, girth", [
+    ("u_3_4@gf2", 4), ("u_4_4@gf2", "infinity"), ("u_5_6@gf3", 6),
+])
+def test_uniform_of_corank_at_most_one_over_a_small_field(capsys, gen_id, girth):
+    code, rep = run_json(capsys, "girth", f"gen:{gen_id}")
+    assert code == 0
+    assert rep["girth"] == girth
+
+
 def test_verify_mk4_dual(capsys):
     code, rep = run_json(capsys, "verify", "gen:mk4_dual", "--t", "4")
     assert code == 0
@@ -310,6 +333,24 @@ def test_dual_command_embeds_gfm(capsys):
     d = matroid_from_gfm(rep["gfm"])
     assert d.rank == 3
     assert sorted(rep["labels"]) == sorted(d.labels)
+
+
+# GF(4) has one irreducible modulus (code 7); GF(9) is read with x^2+1
+# (code 10), not the bundled x^2+2x+2 (code 17)
+@pytest.mark.parametrize("text", [
+    "gfm q=4 rows=2 cols=4\nlabels a b c d\n1 0 2 3\n0 1 3 1\n",
+    "gfm q=9 rows=2 cols=4 modulus=10\nlabels a b c d\n1 0 5 7\n0 1 2 8\n",
+], ids=["gf4", "gf9"])
+def test_dual_of_an_extension_field_gfm_round_trips(tmp_path, capsys, text):
+    p = tmp_path / "m.gfm"
+    p.write_text(text)
+    m = matroid_from_gfm(text)
+    code, rep = run_json(capsys, "dual", str(p))
+    assert code == 0
+    assert f" modulus={m.field.modulus_code()}" in rep["gfm"].splitlines()[0]
+    field, mat, labels = parse_gfm(rep["gfm"])
+    d = dual(m)
+    assert (field, mat, labels) == (m.field, d.matrix, d.labels)
 
 
 def test_simplify_command(capsys):
@@ -382,6 +423,30 @@ def test_gfm_header_is_checked_before_use(tmp_path, capsys, text, names):
     code, rep = run_json(capsys, "girth", str(p))
     assert code == 2
     assert rep["error"]["type"] == "GfmParseError"
+    assert names in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("name, text, error, names", [
+    ("m.gfm", "", "GfmParseError", "line 1: empty input"),
+    ("m.gfm", "matrix q=2 rows=1 cols=1\n1\n", "GfmParseError", "line 1: expected `gfm` header, got 'matrix'"),
+    ("m.gfm", "gfm q=4 rows=1 cols=1 modulus=x\n1\n", "GfmParseError", "line 1: modulus= must be an integer"),
+    ("m.gfm", "gfm q=2 rows=1 cols=2\nlabels a b c\n1 1\n", "GfmParseError", "line 2: 3 labels for 2 columns"),
+    ("m.gfm", "gfm q=2 rows=1 cols=2\nlabels a a\n1 1\n", "GfmParseError", "line 2: labels must be distinct"),
+    ("m.gfm", "gfm q=2 rows=3 cols=2\n1 1\n0 1\n", "GfmParseError", "line 4: expected 3 matrix rows, got 2"),
+    ("m.gfm", "gfm q=3 rows=1 cols=2\n1 y\n", "GfmParseError", "line 2, column 2: 'y' is not an integer"),
+    ("g.graph", "", "InputError", "empty graph file"),
+    ("missing.graph", None, "InputError", "cannot read"),
+    ("m.txt", "gfm q=2 rows=1 cols=1\n1\n", "InputError", "unrecognized instance"),
+], ids=["gfm-empty", "gfm-not-gfm", "gfm-modulus", "gfm-label-count", "gfm-repeated-label",
+        "gfm-missing-rows", "gfm-entry", "graph-empty", "graph-unreadable", "unknown-source"])
+def test_instance_input_errors_are_structured(tmp_path, capsys, name, text, error, names):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, rep = run_json(capsys, "girth", str(path))
+    assert code == 2
+    assert set(rep) == {"error"}
+    assert rep["error"]["type"] == error
     assert names in rep["error"]["message"]
 
 

@@ -26,6 +26,7 @@ from gfmatroids.generators import Graph, _check_entries, complete_graph
 
 from oracles import (
     brute_independent,
+    brute_rank,
     components_oracle,
     edge_connectivity_oracle,
     graph_girth_oracle,
@@ -117,9 +118,25 @@ def test_uniform_rank_function_exhaustive():
                 assert subset_rank(u, combo) == min(size, t)
 
 
+@pytest.mark.parametrize("f", [F2, F3], ids=["gf2", "gf3"])
+def test_uniform_of_corank_at_most_one_over_any_field(f):
+    # U_{n-1,n} and U_{n,n} exist over every field, past the q + 1 columns
+    # the moments give
+    for n in range(1, 7):
+        for t in (n - 1, n):
+            u = uniform(t, n, f)
+            assert u.labels == tuple(f"e{j}" for j in range(n))
+            cols = dict(zip(u.labels, u.matrix.col_tuples()))
+            for size in (t, t + 1):
+                for combo in combinations(u.labels, size):
+                    assert brute_rank(f.q, f.add, f.mul, [cols[l] for l in combo]) == t
+
+
 def test_uniform_field_too_small():
     with pytest.raises(ValueError, match="needs q >="):
         uniform(2, 5, F3)
+    with pytest.raises(ValueError, match="needs q >="):
+        uniform(3, 6, field_from_order(4))  # a hyperoval: representable, not by moments
 
 
 def test_projective_geometry_point_counts():

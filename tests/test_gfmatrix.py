@@ -13,7 +13,6 @@ from gfmatroids import (
     dual,
     field_from_order,
     format_gfm,
-    in_span,
     minor,
     parse_gfm,
     rref,
@@ -144,35 +143,6 @@ def test_standard_form_preserves_rank_function():
                     src = rref(m.take_cols([pos_src[l] for l in combo])).rank
                     new = rref(full.take_cols([pos_new[l] for l in combo])).rank
                     assert src == new
-
-
-def test_in_span_examples():
-    f, m = _mat(2, [[1, 0], [0, 1]])
-    assert in_span(m, [0, 1], (0, 0)) == (0, 0)
-    assert in_span(m, [0, 1], (1, 1)) == (1, 1)
-    f3, m3 = _mat(3, [[1], [1]])
-    # exhaustive scalar oracle: c*(1,1) != (1,2) for c in GF(3)
-    for c in range(3):
-        assert (f3.mul(c, 1), f3.mul(c, 1)) != (1, 2)
-    assert in_span(m3, [0], (1, 2)) is None
-
-
-def test_in_span_coefficients_reconstruct_vector():
-    rng = random.Random(5)
-    for q in (2, 3, 5):
-        f = field_from_order(q)
-        for _ in range(20):
-            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(3)]
-            m = GFMatrix(f, rows)
-            v = tuple(rng.randrange(q) for _ in range(3))
-            coeffs = in_span(m, range(4), v)
-            if coeffs is None:
-                continue
-            acc = [0, 0, 0]
-            for c, col in zip(coeffs, m.col_tuples()):
-                for i, x in enumerate(col):
-                    acc[i] = f.add(acc[i], f.mul(c, x))
-            assert tuple(acc) == v
 
 
 def test_entry_range_validation():

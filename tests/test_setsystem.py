@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -10,7 +11,6 @@ from gfmatroids import (
     build_set_system,
     canonical_system,
     claim_chain_check,
-    export_adjacency,
     field_from_order,
     greedy_delta_packing,
     hamming_distance,
@@ -21,6 +21,7 @@ from gfmatroids import (
     sym_diff_size,
     trace_count,
 )
+from gfmatroids.setsystem import SHATTER_LIMIT
 
 
 def sf_from_a(q, a_rows):
@@ -94,15 +95,20 @@ def test_shatter_monotone_on_random_instances():
         q = (2, 3)[i % 2]
         m = random_matroid(4, 8, field_from_order(q), seed=800 + i)
         _, s = canonical_system(m)
-        values = [shatter(s, k, budget=10**6).value for k in range(min(5, len(s.ground)) + 1)]
+        values = [shatter(s, k).value for k in range(min(5, len(s.ground)) + 1)]
         assert values == sorted(values)
 
 
 def test_shatter_budget_guard():
-    m = random_matroid(5, 12, field_from_order(3), seed=42)
+    # exact mode refuses C(|V|, m) > SHATTER_LIMIT before enumerating any subset
+    m = random_matroid(8, 16, field_from_order(5), seed=42)
     _, s = canonical_system(m)
-    with pytest.raises(ValueError, match="budget"):
-        shatter(s, len(s.ground) // 2, budget=10)
+    g = len(s.ground)
+    assert math.comb(g, 7) <= SHATTER_LIMIT < math.comb(g, 8)
+    assert shatter(s, 7).exact  # stops at the ceiling of 8 distinct sets
+    with pytest.raises(ValueError, match=f"needs {math.comb(g, 8)} subsets, over the limit {SHATTER_LIMIT}"):
+        shatter(s, 8)
+    assert shatter(s, 8, trials=3, seed=1).subsets_checked == 3
 
 
 @pytest.mark.parametrize("kwargs, expected", [
@@ -145,7 +151,6 @@ def test_separation_examples():
     s = build_set_system(sf_from_a(3, [[1, 2], [1, 1], [0, 0]]))
     rep = separation(s)
     assert (rep.sym_diff, rep.hamming) == (2, 1)
-    assert rep.delta_separated_at == 2
 
 
 def test_separation_needs_two_sets():
@@ -250,9 +255,3 @@ def test_claim_chain_full_fiber_equality():
             chk = claim_chain_check(s, sf, w)
             assert chk.traces == chk.distinct_restricted_cols
             assert chk.ok
-
-
-def test_export_adjacency_lines():
-    s = build_set_system(sf_from_a(3, [[1], [2]]))
-    text = export_adjacency(s)
-    assert text == "e1 (b1,1) (b2,2)\n"
