@@ -219,7 +219,7 @@ def parse_graph(text: str) -> Graph:
     names the line it is on."""
     lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
-        raise ValueError("empty graph file")
+        raise ValueError("line 1: empty input, expected `graph` header")
     at, head = lines[0]
     if head[0] != "graph":
         raise ValueError(f"line {at}: expected `graph` header, got {head[0]!r}")

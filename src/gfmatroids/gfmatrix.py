@@ -164,13 +164,6 @@ class StandardForm:
     nonbasis_order: tuple[str, ...]
     a: GFMatrix
 
-    def assemble(self) -> tuple[GFMatrix, tuple[str, ...]]:
-        """Rebuild the full [I | A] matrix with its column labels."""
-        eye = GFMatrix.identity(self.field, len(self.basis_order))
-        full = [e + a for e, a in zip(eye.row_tuples(), self.a.row_tuples())]
-        return (GFMatrix(self.field, full, eye.cols + self.a.cols),
-                self.basis_order + self.nonbasis_order)
-
 
 def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:
     """Row-reduce so the basis columns become an identity, dropping zero rows.

@@ -11,12 +11,15 @@ built: GF(2) columns are int bitmasks reduced word-parallel, other fields
 use tuples of element codes scaled so that the first nonzero entry is 1.
 Each matroid caches its columns in the kernel's form.
 
-One walk lists the independent sets of a matroid as bitmasks, and on
-request its small dependent sets; isomorphism profiles, rank tables and
-the minor search all read from it.  A deletion's independent sets are
-its parent's that miss the deleted elements, so the minor search walks
-each contraction m/C once and reads the profile and short circuits of
-every candidate (m/C)\\D from it by one mask test per set.
+One walk lists the independent sets of a matroid as bitmasks; isomorphism
+profiles, rank tables and the minor search all read from it.  A
+deletion's independent sets are its parent's that miss the deleted
+elements, so the minor search walks a contraction m/C at most once and
+reads the profile of every candidate (m/C)\\D from it by mask tests.
+The target's girth g bounds that search: D must meet every circuit of
+m/C with fewer than g elements.  So the walk over contract sets drops a
+prefix, with every set that extends it, once the prefix's short circuits
+need more deletions than D has, and D is drawn among their hitting sets.
 
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
@@ -27,8 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
-from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldSpec
@@ -239,27 +242,19 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None):
 # -- exhaustive rank tables and bases --------------------------------------------
 
 
-def _independent_masks(kern: _Kernel, cols: Sequence, dependent: Optional[list[int]] = None) -> list[int]:
-    """Every independent set of the columns as a bitmask, bit j for column j.
-
-    Given a list, also appends to it each spanned extension I + j of an
-    independent I with fewer than rank(cols) columns by a later column j.
-    These are dependent, and every circuit of at most rank(cols) columns
-    is among them: take I to be the circuit less its last column.
-    """
+def _independent_masks(kern: _Kernel, cols: Sequence) -> list[int]:
+    """Every independent set of the columns as a bitmask, bit j for column j."""
     r, reduce = _rank(kern, cols), kern.reduce
     out = [0]
 
     def rec(red: list, start: int, depth: int, mask: int) -> None:
         # red: the columns from `start` on, reduced by the `depth` chosen ones in mask
         for j, p in enumerate(red, start):
-            child = mask | 1 << j
             if p:
+                child = mask | 1 << j
                 out.append(child)
                 if depth + 1 < r:  # a basis spans every further column
                     rec(reduce(p, red[j + 1 - start:]), j + 1, depth + 1, child)
-            elif dependent is not None:
-                dependent.append(child)
 
     if r:
         rec(cols, 0, 0, 0)
@@ -389,16 +384,16 @@ def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = (
     return RepMatroid(m.field, matrix, tuple(m.labels[j] for j in keep_cols))
 
 
-def _class_ids(m: RepMatroid) -> list[int]:
-    """Per column: 0 for a loop, else an id shared exactly by its parallel class."""
+def _class_ids(cols: Sequence) -> list[int]:
+    """Per packed column: 0 for a loop, else an id shared exactly by its parallel class."""
     ids: dict = {0: 0}
-    return [ids.setdefault(c, len(ids)) for c in m._packed()]
+    return [ids.setdefault(c, len(ids)) for c in cols]
 
 
 def simplify(m: RepMatroid) -> RepMatroid:
     """Drop loops; keep the lexicographically least label of each parallel class."""
     best: dict[int, int] = {}
-    for j, cid in enumerate(_class_ids(m)):
+    for j, cid in enumerate(_class_ids(m._packed())):
         if cid and (cid not in best or m.labels[j] < m.labels[best[cid]]):
             best[cid] = j
     idx = sorted(best.values())
@@ -416,7 +411,7 @@ def cosimple_certificate(m: RepMatroid) -> Optional[tuple[str, tuple[str, ...]]]
     matroids are never cosimple (every element is a coloop).
     """
     d = dual(m)
-    ids = _class_ids(d)  # loops of the dual are coloops, its parallel classes series classes
+    ids = _class_ids(d._packed())  # loops of the dual are coloops, its parallel classes series classes
     if 0 in ids:
         return ("coloop", (d.labels[ids.index(0)],))
     first: dict[int, str] = {}
@@ -460,24 +455,55 @@ def is_circuit(m: RepMatroid, s: Iterable[str]) -> bool:
 # -- isomorphism -----------------------------------------------------------------
 
 
+def _element_masks(sets: Sequence[int], bits: Sequence[int]) -> list[int]:
+    """Per bit b of `bits`, a mask over positions in `sets`: bit i is set
+    when sets[i] holds b.  The sets are written out as one binary string,
+    and each bit's column of it is read back as one int."""
+    if not bits:
+        return []
+    if not sets:
+        return [0] * len(bits)
+    width = max(bits).bit_length()
+    step = width + 3  # each set as bin(top | s): "0b1", then its bits, highest first
+    text = "".join(map(bin, map((1 << width).__or__, reversed(sets))))
+    return [int(text[step - b.bit_length()::step], 2) for b in bits]
+
+
+def _size_mask(sets: Sequence[int], size: int) -> int:
+    """A mask over positions in `sets`: bit i is set when sets[i] has `size`
+    elements.  The set sizes are written out as bytes, and translated to
+    binary digits."""
+    digits = b"0" * size + b"1" + b"0" * (255 - size)  # byte k to b"1" exactly for k = size
+    return int(bytes(map(int.bit_count, reversed(sets))).translate(digits), 2)
+
+
 class _Profile:
     """Label-free fingerprint of a matroid, read from its independent sets
     given as bitmasks, and the bit of each of its elements: the rank, the
-    basis count, and per element the number of independent sets and of
-    bases holding it; those per-element pairs prune the bijection search.
+    basis count, per pair of elements the number of independent sets
+    holding both, and per element the number of independent sets and of
+    bases holding it and the sorted counts of its pairs; the pair counts
+    prune the bijection search.
 
     The bits need not be 1, 2, 4, ...: the independent sets of a deletion
     are those of the whole matroid that miss the deleted elements, so a
     deletion's profile comes from its parent's sets by one mask test each.
     """
 
-    def __init__(self, indep: Sequence[int], bits: Sequence[int]):
+    def __init__(self, indep: Sequence[int], bits: Sequence[int],
+                 elem: Optional[list[int]] = None, bases: Optional[int] = None):
+        # elem (per bit) and bases are masks over some numbering of the
+        # sets; by default, the position in indep
         r = max(map(int.bit_count, indep))
-        maximal = [s for s in indep if s.bit_count() == r]
-        self.n, self.rank, self.n_bases, self.bits = len(bits), r, len(maximal), bits
+        if elem is None:
+            elem = _element_masks(indep, bits)
+            bases = _size_mask(indep, r)
+        self.n, self.rank, self.n_bases, self.bits = len(bits), r, bases.bit_count(), bits
         self.indep = set(indep)
+        self.pair = [[(a & b).bit_count() for b in elem] for a in elem]
         self.inv = [
-            (sum(1 for s in indep if s & b), sum(1 for s in maximal if s & b)) for b in bits
+            (e.bit_count(), (e & bases).bit_count(), tuple(sorted(row)))
+            for e, row in zip(elem, self.pair)
         ]
 
     @classmethod
@@ -486,43 +512,56 @@ class _Profile:
 
 
 def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
+    """Whether some bijection maps a's independent sets onto b's.
+
+    Elements of a are placed one at a time, always the one with the fewest
+    images left.  An image must share the element's invariants, and its
+    pair count with each placed image must equal the element's with that
+    image's preimage; placing an element prunes every other's images by
+    that test.  The order thus follows the structure, not the column
+    order.  Each placement then checks the independent sets it extends:
+    only those of the placed elements that are independent on both sides,
+    as a dependent set stays dependent.
+    """
     if (pa.n, pa.rank, pa.n_bases, len(pa.indep)) != (pb.n, pb.rank, pb.n_bases, len(pb.indep)):
         return False
     if sorted(pa.inv) != sorted(pb.inv):
         return False
-    n = pa.n
-    freq = Counter(pa.inv)
-    order = sorted(range(n), key=lambda i: (freq[pa.inv[i]], pa.inv[i], i))
-    cand = {i: [j for j in range(n) if pb.inv[j] == pa.inv[i]] for i in range(n)}
-    used = [False] * n
     a_ind, b_ind = pa.indep, pb.indep
     a_bits, b_bits = pa.bits, pb.bits
+    a_pair, b_pair = pa.pair, pb.pair
 
-    def rec(k: int, pairs: list[tuple[int, int]]) -> bool:
-        if k == n:
+    def rec(images: dict[int, list[int]], pairs: list[tuple[int, int]]) -> bool:
+        # images: each unplaced element of a with its possible images in b;
+        # pairs: each independent set of placed elements with its image
+        if not images:
             return True
-        ai = order[k]
-        abit = a_bits[ai]
-        for bj in cand[ai]:
-            if used[bj]:
-                continue
-            bbit = b_bits[bj]
-            new = []
-            ok = True
-            for ma, mb in pairs:
-                na, nb2 = ma | abit, mb | bbit
-                if (na in a_ind) != (nb2 in b_ind):
-                    ok = False
-                    break
-                new.append((na, nb2))
-            if ok:
-                used[bj] = True
-                if rec(k + 1, pairs + new):
-                    return True
-                used[bj] = False
+        i = min(images, key=lambda u: len(images[u]))
+        abit, arow = a_bits[i], a_pair[i]
+        for j in images[i]:
+            bbit, brow = b_bits[j], b_pair[j]
+            rest = {}
+            for u, imgs in images.items():
+                if u != i:
+                    rest[u] = [v for v in imgs if v != j and brow[v] == arow[u]]
+                    if not rest[u]:
+                        break
+            else:
+                new = []
+                for ma, mb in pairs:
+                    na, nb = ma | abit, mb | bbit
+                    ia = na in a_ind
+                    if ia != (nb in b_ind):
+                        break
+                    if ia:
+                        new.append((na, nb))
+                else:
+                    if rec(rest, pairs + new):
+                        return True
         return False
 
-    return rec(0, [(0, 0)])
+    return rec({i: [j for j in range(pb.n) if pb.inv[j] == inv] for i, inv in enumerate(pa.inv)},
+               [(0, 0)])
 
 
 def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
@@ -539,11 +578,11 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
 # -- minor containment -------------------------------------------------------------
 
 
-def _class_masks(m: RepMatroid) -> tuple[int, list[int]]:
-    """The mask of m's loops and of each parallel class of two or more
-    elements, bit j for column j."""
+def _class_masks(cols: Sequence) -> tuple[int, list[int]]:
+    """The mask of the loops among packed columns and of each parallel
+    class of two or more, bit j for column j."""
     masks: dict[int, int] = {}
-    for j, cid in enumerate(_class_ids(m)):
+    for j, cid in enumerate(_class_ids(cols)):
         masks[cid] = masks.get(cid, 0) | 1 << j
     loops = masks.pop(0, 0)
     return loops, [c for c in masks.values() if c & (c - 1)]
@@ -601,27 +640,162 @@ def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _target_screens(target: RepMatroid) -> tuple[_Profile, int, list[int], Optional[int]]:
+def _target_screens(target: RepMatroid) -> tuple[_Profile, int, list[int], float]:
     """The target's side of every minor screen: its isomorphism profile,
     loop count, sorted sizes of its parallel classes of two or more, and
-    girth.  Cached, as the same targets recur across calls."""
+    girth (math.inf when free).  Cached, as the same targets recur."""
     t_cols = target._packed()
-    loops, classes = _class_masks(target)
+    loops, classes = _class_masks(t_cols)
+    g = _min_dependent_size(target._kernel, t_cols, target.size)
     return (_Profile.of(target._kernel, t_cols), loops.bit_count(),
-            sorted(c.bit_count() for c in classes),
-            _min_dependent_size(target._kernel, t_cols, target.size))
+            sorted(c.bit_count() for c in classes), math.inf if g is None else g)
+
+
+def _forced_deletions(red: Optional[list], depth: int, g: float, words: list[int]) -> int:
+    """A lower bound on the deletions that the circuits of m/P with fewer
+    than g elements force, P of `depth` elements.  From m's columns
+    reduced by P: its loops, and its parallel classes less one element
+    each.  Otherwise from the parts outside P of m's codewords: the short
+    ones, each disjoint from the others, taken greedily, smallest first."""
+    if g <= 1:
+        return 0
+    if red is not None:
+        if g == 2:
+            return red.count(0) - depth  # the loops: P's own columns reduce to 0 too
+        distinct = set(red)
+        distinct.discard(0)
+        return len(red) - depth - len(distinct)
+    need = covered = 0
+    for w in sorted((w for w in words if w.bit_count() < g), key=int.bit_count):
+        if not w & covered:
+            covered |= w
+            need += 1
+    return need
+
+
+def _contract_sets(m: RepMatroid, size: int, g: float, d_count: int, supports: Optional[list[int]]):
+    """Yield (C, columns, words): each independent `size`-subset C of m's
+    columns whose short circuits need at most d_count deletions, in
+    lexicographic column-index order, as a bitmask.
+
+    A depth-first walk chooses C's columns in index order.  A dependent
+    set X of m/P, for a prefix P of C, leaves X - C dependent in m/C, and
+    its circuits there must meet the deletion set when smaller than g; so
+    once the short circuits of m/P force more than d_count deletions, the
+    walk skips P and every extension of it.
+
+    Given m's codeword supports, the walk reads both independence and the
+    short circuits from them: it carries their parts outside P, and keeps
+    those that can still come within g elements of C.  It yields the
+    parts outside C of fewer than g elements, and no columns.  Without
+    codewords, it reduces all of m's columns by each chosen column, as
+    `_independent_subsets` does, and yields m's columns reduced by C.
+    """
+    n, reduce = m.size, m._kernel.reduce
+
+    def rec(red: Optional[list], start: int, depth: int, pmask: int, words: list[int]):
+        if _forced_deletions(red, depth, g, words) > d_count:
+            return
+        if depth == size:
+            yield pmask, red, words
+            return
+        slack = size - depth - 1  # columns still to choose after the next
+        for j in range(start, n - slack):
+            if red is None:
+                keep = ~(1 << j)
+                kept = [o for o in (w & keep for w in words) if o.bit_count() - slack < g]
+                if 0 not in kept:  # no codeword inside P + j
+                    yield from rec(None, j + 1, depth + 1, pmask | 1 << j, kept)
+            elif red[j]:
+                yield from rec(reduce(red[j], red), j + 1, depth + 1, pmask | 1 << j, [])
+
+    if supports is None:
+        return rec(list(m._packed()), 0, 0, 0, [])
+    return rec(None, 0, 0, 0, [w for w in supports if w.bit_count() - size < g])
+
+
+def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[int]:
+    """Dependent sets of at most `limit` columns, as bitmasks, that hold
+    every circuit that small.  For each independent I of at most limit - 2
+    columns, chosen in index order: I plus a later column that reduces to
+    0 by I, and I plus two later columns that reduce to the same column,
+    parallel modulo I's span (a circuit is its first columns plus two)."""
+    out: list[int] = []
+
+    def rec(red: list, start: int, mask: int, room: float) -> None:
+        # red: the columns from `start` on, reduced by the ones in mask
+        seen: dict = {}
+        for j, c in enumerate(red, start):
+            if not c:
+                out.append(mask | 1 << j)
+            elif room >= 2:
+                out.extend(mask | 1 << i | 1 << j for i in seen.get(c, ()))
+                seen.setdefault(c, []).append(j)
+        if room > 2:  # a further column leaves room for a pair
+            for k, c in enumerate(red):
+                if c:
+                    rec(kern.reduce(c, red[k + 1:]), start + k + 1, mask | 1 << start + k, room - 1)
+
+    if limit >= 1:
+        rec(list(cols), 0, 0, limit)
+    return out
+
+
+def _hitting_sets(n: int, k: int, sets: Iterable[int]):
+    """Yield (indices, mask) for the k-subsets of range(n) that meet every
+    mask in `sets`, in itertools.combinations order.  A subset's elements
+    are chosen in increasing order: an element past the last bit of a set
+    not yet met would leave it unmet, and the last element must lie in
+    every set not yet met."""
+    sets = list(sets)
+    if not sets:
+        for c in itertools.combinations(range(n), k):
+            yield c, sum(1 << j for j in c)
+        return
+
+    def rec(start: int, need: int, chosen: tuple[int, ...], mask: int, unmet: list[int]):
+        if need == 1:
+            last = functools.reduce(operator.and_, unmet, (1 << n) - 1) >> start << start
+            while last:
+                bit = last & -last
+                last ^= bit
+                yield chosen + (bit.bit_length() - 1,), mask | bit
+            return
+        stop = min(s.bit_length() for s in unmet) if unmet else n
+        for j in range(start, min(stop, n - need + 1)):
+            bit = 1 << j
+            yield from rec(j + 1, need - 1, chosen + (j,), mask | bit,
+                           [s for s in unmet if not s & bit])
+
+    if k:
+        yield from rec(0, k, (), 0, sets)
 
 
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """Exhaustive minor search; returns (delete, contract) labels or None.
 
     Only independent contract sets C of size rank(m) - rank(target) are
-    enumerated (every minor admits such a presentation).  A candidate
-    (m/C)\\D is a deletion of the contraction m/C, so its loops, parallel
-    classes, short circuits and independent sets are those of m/C that
-    miss D.  Each is listed once per C as bitmasks over m/C's elements,
-    and a candidate reads its own by one mask test each.  It must pass
-    cheap screens before the full isomorphism test:
+    enumerated (every minor admits such a presentation), with deletion
+    sets D of the size left over.  Both are bounded by the target's girth
+    g: a candidate (m/C)\\D isomorphic to the target has no circuit of
+    fewer than g elements, so D meets every such circuit of m/C.
+
+    - Contract sets come from a depth-first walk in lexicographic order
+      that drops a prefix P and its whole subtree once m/P's disjoint
+      short circuits need more than |D| deletions: a dependent set of m/P
+      stays dependent in m/C less the rest of C.  Those circuits are m/P's
+      loops and repeated reduced columns, or, when m's codewords are
+      listed, its short codewords, which the walk then reads independence
+      from as well, reducing no columns.
+    - Deletion sets are enumerated in itertools.combinations order among
+      the hitting sets of the short circuits of m/C: its short codewords
+      when listed, and otherwise the short dependent sets that a search
+      of m/C's columns up to size g - 1 lists, loops and parallel pairs
+      first.
+
+    A candidate is a deletion of m/C, so its loops, parallel classes and
+    independent sets are those of m/C that miss D, read by one mask test
+    each.  It must pass cheap screens before the full isomorphism test:
 
     - Codeword weights, when m's cycle space has at most as many
       1-dimensional subspaces as the target has independent sets (then
@@ -632,16 +806,15 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       m/C is built.  They must equal the target's over m's field, which
       the target's rank function gives, whatever its own field.
     - Loop count and parallel-class sizes, from m/C's loop and class masks.
-      The first candidate of C to pass them walks m/C, once, for the
-      screens below.
-    - Without the weight screen, no circuit shorter than the target's
-      girth, from the dependent sets that small that the walk lists; the
-      weights already fix the girth.
-    - The number of independent sets, from those of the walk that miss
-      D; the candidate's isomorphism profile is read from them.
+      The first candidate of C to pass them walks m/C, once.
+    - The number of independent sets, from those of the walk that miss D:
+      by one scan for the first candidate of C to get here, and from
+      per-element masks over the walk's sets for the others, which also
+      give their isomorphism profiles.
 
     The target's side of each screen is built once per target and cached.
-    Screens only reject, so the witness is the first in canonical order.
+    Screens and bounds only reject, so the witness is the first in
+    canonical order.
     """
     if m.size > ENUMERATION_LIMIT:
         raise TooLargeError(f"minor search limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})")
@@ -654,43 +827,47 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_profile, t_loops, t_classes, t_girth = _target_screens(target)
+    t_profile, t_loops, t_classes, g = _target_screens(target)
     t_count = len(t_profile.indep)
     supports = None
     if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
         supports = _codeword_supports(m)
         t_counts = _weight_counts(target, q)
         # per element, a mask over codeword indices: the codewords whose support holds it
-        hits = [sum(1 << i for i, s in enumerate(supports) if s >> e & 1) for e in range(n)]
-        t_girth = None
+        hits = _element_masks(supports, [1 << e for e in range(n)])
     nb = n - r_diff  # size of each contraction m/C
-    dmasks = [sum(1 << j for j in didx) for didx in itertools.combinations(range(nb), d_count)]
-    for cset in _independent_subsets(m, r_diff):
-        if supports is not None:
-            # group the codewords by their weight outside C; a candidate keeps
-            # those of each group that miss D, and must keep the target's count
-            cidx = m.indices_of(cset)
-            cmask = sum(1 << j for j in cidx)
-            by_weight: dict[int, int] = {}
-            for i, s in enumerate(supports):
-                w = (s & ~cmask).bit_count()
-                by_weight[w] = by_weight.get(w, 0) | 1 << i
-            checks = [
-                (by_weight.get(w, 0), t_counts.get(w, 0))
-                for w in sorted(by_weight.keys() | t_counts.keys())
-            ]
-            rest_hits = [hits[j] for j in range(n) if j not in cidx]
-        base = family = None
-        for didx, dmask in zip(itertools.combinations(range(nb), d_count), dmasks):
+    for cmask, red, words in _contract_sets(m, r_diff, g, d_count, supports):
+        rest = [j for j in range(n) if not cmask >> j & 1]  # m/C's elements, in m's indices
+        cols = checks = loops = family = elem = None
+        # the short circuits of m/C, as masks over its elements
+        if red is None:
+            short = [sum(1 << k for k, j in enumerate(rest) if w >> j & 1) for w in words]
+        else:
+            cols = [red[j] for j in rest]
+            short = _short_dependent_sets(m._kernel, cols, g - 1)
+        for didx, dmask in _hitting_sets(nb, d_count, short):
             if supports is not None:
+                if checks is None:
+                    # group the codewords by their weight outside C; a candidate keeps
+                    # those of each group that miss D, and must keep the target's count
+                    by_weight: dict[int, int] = {}
+                    for i, s in enumerate(supports):
+                        w = (s & ~cmask).bit_count()
+                        by_weight[w] = by_weight.get(w, 0) | 1 << i
+                    checks = [
+                        (by_weight.get(w, 0), t_counts.get(w, 0))
+                        for w in sorted(by_weight.keys() | t_counts.keys())
+                    ]
+                    rest_hits = [hits[j] for j in rest]
                 gone = 0
                 for j in didx:
                     gone |= rest_hits[j]
                 if any((group & ~gone).bit_count() != c for group, c in checks):
                     continue
-            if base is None:
-                base = minor(m, delete=(), contract=cset)
-                loops, classes = _class_masks(base)
+            if cols is None:
+                cols = minor(m, contract=[m.labels[j] for j in range(n) if cmask >> j & 1])._packed()
+            if loops is None:
+                loops, classes = _class_masks(cols)
             if (loops & ~dmask).bit_count() != t_loops:
                 continue
             # both sides have target.size elements and as many loops, so the
@@ -699,20 +876,29 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
             if sorted(sizes) != t_classes:
                 continue
             if family is None:
-                # a loop or parallel pair is already screened above, so the
-                # circuits worth listing exist only for a target girth above 3
-                dependent = [] if t_girth is not None and t_girth > 3 else None
-                family = _independent_masks(base._kernel, base._packed(), dependent)
-                short = [s for s in dependent or () if s.bit_count() < t_girth]
-            if any(not s & dmask for s in short):
-                continue
-            indep = [s for s in family if not s & dmask]
-            if len(indep) != t_count:
-                continue
-            bits = [1 << j for j in range(nb) if not dmask >> j & 1]
-            if _match_profiles(_Profile(indep, bits), t_profile):
-                dels = frozenset(base.labels[j] for j in didx)
-                return (dels, frozenset(cset))
+                # the first candidate of C to get here walks m/C and scans the walk
+                family = _independent_masks(m._kernel, cols)
+                indep = [s for s in family if not s & dmask]
+                if len(indep) != t_count:
+                    continue
+                profile = _Profile(indep, [1 << j for j in range(nb) if not dmask >> j & 1])
+            else:
+                # later ones count by per-element masks over the walk's sets, built once
+                if elem is None:
+                    elem = _element_masks(family, [1 << j for j in range(nb)])
+                    bases = _size_mask(family, target.rank)
+                gone = 0
+                for j in didx:
+                    gone |= elem[j]
+                keep = ~gone & (1 << len(family)) - 1
+                if keep.bit_count() != t_count:
+                    continue
+                kept = [j for j in range(nb) if not dmask >> j & 1]
+                profile = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
+                                   [elem[j] & keep for j in kept], bases & keep)
+            if _match_profiles(profile, t_profile):
+                return (frozenset(m.labels[rest[j]] for j in didx),
+                        frozenset(m.labels[j] for j in range(n) if cmask >> j & 1))
     return None
 
 

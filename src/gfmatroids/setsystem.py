@@ -70,10 +70,6 @@ class SetSystem:
     def _ground_pos(self) -> dict[GroundPair, int]:
         return {pair: i for i, pair in enumerate(self.ground)}
 
-    def set_of(self, label: str) -> frozenset[GroundPair]:
-        mask = self._by_label[label]
-        return frozenset(p for p, i in self._ground_pos.items() if mask >> i & 1)
-
     def mask_of(self, label: str) -> int:
         return self._by_label[label]
 

@@ -9,10 +9,12 @@ contraction with `subset_rank`, `short_circuit_reference`, which runs the
 library's own kernels the long way, as the reference for the short-circuit
 extractor, and `pair_circuit_size_oracle`, which reads [I | A] from
 `standard_form` and does the rest with its own field arithmetic.
+`assembled_standard_form` only puts a standard form's parts together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from itertools import combinations, permutations, product
@@ -75,17 +77,80 @@ def independent_masks_oracle(q, add, mul, cols) -> set[int]:
 
 
 def brute_isomorphic(q, add, mul, cols_a, cols_b) -> bool:
-    """Some column permutation preserves the brute-force rank of every subset."""
+    """Some column permutation maps the independent sets of one list of
+    columns, from `independent_masks_oracle`, onto those of the other, so
+    preserving the rank of every subset."""
     n = len(cols_a)
     if len(cols_b) != n:
         return False
-    subsets = [s for size in range(n + 1) for s in combinations(range(n), size)]
-    rank_a = {s: brute_rank(q, add, mul, [cols_a[j] for j in s]) for s in subsets}
-    rank_b = {s: brute_rank(q, add, mul, [cols_b[j] for j in s]) for s in subsets}
+    indep_a = independent_masks_oracle(q, add, mul, cols_a)
+    indep_b = independent_masks_oracle(q, add, mul, cols_b)
+    if len(indep_a) != len(indep_b):
+        return False
     return any(
-        all(rank_a[s] == rank_b[tuple(sorted(perm[j] for j in s))] for s in subsets)
+        all(sum(1 << perm[j] for j in range(n) if s >> j & 1) in indep_b for s in indep_a)
         for perm in permutations(range(n))
     )
+
+
+def contract_columns_oracle(q, add, mul, cols, contract, keep):
+    """The columns in `keep` of the contraction by the independent columns
+    in `contract`: each contracted column's first nonzero row becomes its
+    pivot, is cleared from the other rows, and is dropped.  Inverses and
+    negatives come from searching the field."""
+    inv = {a: next(b for b in range(q) if mul(a, b) == 1) for a in range(1, q)}
+    neg = {a: next(b for b in range(q) if add(a, b) == 0) for a in range(q)}
+    rows = [list(r) for r in zip(*cols)]
+    for c in contract:
+        pivot = rows.pop(next(i for i, r in enumerate(rows) if r[c]))
+        scale = inv[pivot[c]]
+        for r in rows:
+            factor = neg[mul(r[c], scale)]
+            r[:] = [add(x, mul(factor, y)) for x, y in zip(r, pivot)]
+    return [tuple(r[j] for r in rows) for j in keep]
+
+
+def first_minor_witness(m, target):
+    """The first (delete, contract) pair, as label sets, that makes a minor
+    of m isomorphic to the target, or None; independent of `has_minor`.
+
+    Contract sets C are the independent subsets of rank(m) - rank(target)
+    columns in lexicographic column-index order, and for each, deletion
+    sets D are the itertools.combinations of the other columns in index
+    order, of the size left over.  Independence comes from
+    `independent_masks_oracle`; a pair whose minor has as many independent
+    sets of each size as the target, those S outside C and D with S + C
+    independent in m, is decided by `brute_isomorphic` on the minor's
+    columns from `contract_columns_oracle`.
+    """
+    f = m.field
+    q = f.q
+    add, mul = (functools.lru_cache(maxsize=None)(op) for op in field_ops_oracle(f.p, f.k, f.modulus))
+    cols, t_cols = m.matrix.col_tuples(), target.matrix.col_tuples()
+    indep = independent_masks_oracle(q, add, mul, cols)
+    t_indep = independent_masks_oracle(q, add, mul, t_cols)
+    t_sizes = sorted(s.bit_count() for s in t_indep)
+    n = m.size
+    r_diff = max(s.bit_count() for s in indep) - max(s.bit_count() for s in t_indep)
+    d_count = n - r_diff - target.size
+    if r_diff < 0 or d_count < 0:
+        return None
+    for cset in combinations(range(n), r_diff):
+        cmask = sum(1 << j for j in cset)
+        if cmask not in indep:
+            continue
+        rest = [j for j in range(n) if j not in cset]
+        for dset in combinations(rest, d_count):
+            keep = [j for j in rest if j not in dset]
+            kmask = sum(1 << j for j in keep)
+            sizes = sorted(
+                s.bit_count() - r_diff for s in indep if s & cmask == cmask and not s & ~(cmask | kmask)
+            )
+            if sizes == t_sizes and brute_isomorphic(
+                q, add, mul, contract_columns_oracle(q, add, mul, cols, cset, keep), t_cols
+            ):
+                return (frozenset(m.labels[j] for j in dset), frozenset(m.labels[j] for j in cset))
+    return None
 
 
 def brute_minor(m, target) -> bool:
@@ -128,6 +193,16 @@ def brute_minor(m, target) -> bool:
                     ):
                         return True
     return False
+
+
+def assembled_standard_form(sf):
+    """The full [I | A] matrix of a standard form with its column labels:
+    an identity on the basis columns, then A's columns."""
+    from gfmatroids import GFMatrix
+
+    r = len(sf.basis_order)
+    full = [tuple(int(i == j) for j in range(r)) + a for i, a in enumerate(sf.a.row_tuples())]
+    return GFMatrix(sf.field, full, r + sf.a.cols), sf.basis_order + sf.nonbasis_order
 
 
 # -- schoolbook polynomial arithmetic over GF(p) ----------------------------------

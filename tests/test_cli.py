@@ -434,7 +434,7 @@ def test_gfm_header_is_checked_before_use(tmp_path, capsys, text, names):
     ("m.gfm", "gfm q=2 rows=1 cols=2\nlabels a a\n1 1\n", "GfmParseError", "line 2: labels must be distinct"),
     ("m.gfm", "gfm q=2 rows=3 cols=2\n1 1\n0 1\n", "GfmParseError", "line 4: expected 3 matrix rows, got 2"),
     ("m.gfm", "gfm q=3 rows=1 cols=2\n1 y\n", "GfmParseError", "line 2, column 2: 'y' is not an integer"),
-    ("g.graph", "", "InputError", "empty graph file"),
+    ("g.graph", "", "InputError", "line 1: empty input, expected `graph` header"),
     ("missing.graph", None, "InputError", "cannot read"),
     ("m.txt", "gfm q=2 rows=1 cols=1\n1\n", "InputError", "unrecognized instance"),
 ], ids=["gfm-empty", "gfm-not-gfm", "gfm-modulus", "gfm-label-count", "gfm-repeated-label",

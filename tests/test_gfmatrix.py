@@ -21,7 +21,7 @@ from gfmatroids import (
     verify_dichotomy,
 )
 
-from oracles import brute_rank, field_ops_oracle
+from oracles import assembled_standard_form, brute_rank, field_ops_oracle
 
 
 def _mat(q, rows):
@@ -135,7 +135,7 @@ def test_standard_form_preserves_rank_function():
             labels = [f"x{j}" for j in range(6)]
             basis = {labels[j] for j in r.pivot_cols}
             sf = standard_form(m, labels, basis)
-            full, full_labels = sf.assemble()
+            full, full_labels = assembled_standard_form(sf)
             pos_src = {l: j for j, l in enumerate(labels)}
             pos_new = {l: j for j, l in enumerate(full_labels)}
             for size in range(len(labels) + 1):
@@ -168,10 +168,10 @@ def test_rank_zero_matrix_keeps_its_width_through_every_layer():
     assert rr.matrix == mat and rr.rank == 0
     sf = standard_form(mat, labels, ())
     assert (sf.a.rows, sf.a.cols) == (0, 3)
-    assert sf.assemble() == (mat, labels)
+    assert assembled_standard_form(sf) == (mat, labels)
     assert format_gfm(f, mat, labels) == text
     assert format_gfm(f, dual(d).matrix, labels) == text
-    assert format_gfm(f, sf.assemble()[0], labels) == text
+    assert format_gfm(f, assembled_standard_form(sf)[0], labels) == text
     # three loops: A has no rows, and every short circuit is a single loop
     rep = verify_dichotomy(m, 3)
     assert (rep.girth, rep.circuit, rep.bases_checked) == (1, ("a",), 1)

@@ -39,12 +39,13 @@ from gfmatroids import (
 from gfmatroids import matroid
 from gfmatroids.generators import Graph
 from gfmatroids.matroid import (
-    _Profile, _codeword_supports, _independent_masks, _match_profiles,
+    _Profile, _codeword_supports, _independent_masks, _match_profiles, _short_dependent_sets,
     _weight_counts,
 )
 
 from oracles import (
-    brute_minor, edge_connectivity_oracle, graph_girth_oracle, independent_masks_oracle,
+    brute_minor, edge_connectivity_oracle, first_minor_witness, graph_girth_oracle,
+    independent_masks_oracle,
 )
 
 F2 = field_from_order(2)
@@ -346,6 +347,32 @@ def test_bijection_search_decides_between_equal_profiles():
         assert is_isomorphic(m, _relabelled_copy(m, rng))
 
 
+def test_isomorphism_answer_is_the_same_under_column_permutations():
+    # the bijection search places elements in an order read from the
+    # structure, so no column order changes its answer; the random pairs
+    # agree on size, rank, basis count and independent-set count, and
+    # brute force tells whether they are isomorphic
+    from oracles import brute_isomorphic, field_ops_oracle
+
+    rng = random.Random(17)
+    cases = [(clique(5, F2), clique(5, F2), True), (dual(clique(5, F2)), dual(clique(5, F2)), True)]
+    for q, n, r, seeds in [(2, 6, 2, (15, 18)), (3, 6, 3, (2, 34)), (3, 7, 3, (11, 12))]:
+        f = field_from_order(q)
+        add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+        a, b = (random_matroid(r, n, f, seed=seed) for seed in seeds)
+        pa, pb = (_Profile.of(m._kernel, m._packed()) for m in (a, b))
+        assert (pa.n_bases, len(pa.indep)) == (pb.n_bases, len(pb.indep))
+        for other in (b, _relabelled_copy(a, rng)):
+            expected = brute_isomorphic(q, add, mul, a.matrix.col_tuples(), other.matrix.col_tuples())
+            cases.append((a, other, expected))
+    assert [expected for _, _, expected in cases] == [True, True] + [False, True] * 3
+    for a, b, expected in cases:
+        for _ in range(5):
+            a2, b2 = _relabelled_copy(a, rng), _relabelled_copy(b, rng)
+            assert is_isomorphic(a2, b2) == expected
+            assert _match_profiles(*(_Profile.of(m._kernel, m._packed()) for m in (a2, b2))) == expected
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_filtered_profile_agrees_with_the_minor_built_outright(q):
     # has_minor reads the profile of a candidate (m/C)\D from the
@@ -568,21 +595,71 @@ def test_has_minor_girth_screen_agrees_with_rank_formula_oracle():
     assert answers == [True, False]
 
 
+def _with_column(m, col, label):
+    """m with one more column."""
+    cols = m.matrix.col_tuples() + [col]
+    return RepMatroid(m.field, GFMatrix.from_cols(m.field, cols, m.matrix.rows), m.labels + (label,))
+
+
+def _first_witness_targets(f):
+    """M(K4), M(K4)*, U_{2,4} and U_{3,5} where GF(q) represents them, two
+    targets of girth at most 2, where no girth bound applies: a triangle
+    with one side doubled, and a triangle with a loop; and the free U_{3,3},
+    which has no circuit at all."""
+    triangle = uniform(2, 3, f)
+    targets = {"mk4": clique(4, f), "mk4_dual": dual(clique(4, f))}
+    if f.q >= 3:
+        targets["u24"] = uniform(2, 4, f)
+    if f.q >= 4:
+        targets["u35"] = uniform(3, 5, f)
+    targets["parallel"] = _with_column(triangle, triangle.matrix.col_tuples()[0], "p")
+    targets["loop"] = _with_column(triangle, (0, 0), "z")
+    targets["free"] = uniform(3, 3, f)
+    return targets
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_has_minor_first_witness_matches_the_brute_force_oracle(q):
+    # the same (delete, contract) pair as an oracle that walks the canonical
+    # order outright, on seeded matroids of at most 10 elements; the oracle
+    # lists independent sets by spans, so ranks stay small
+    f = field_from_order(q)
+    rng = random.Random(1200 + q)
+    outcomes = Counter()
+    for t, (name, target) in enumerate(_first_witness_targets(f).items()):
+        for i in range(8):
+            n = rng.randint(target.size + 1, 10 if q < 4 else 9)
+            r = rng.randint(target.rank, min(n - 1, target.rank + 2))
+            m = random_matroid(r, n, f, seed=12000 + 100 * q + 10 * t + i)
+            expected = first_minor_witness(m, target)
+            assert has_minor(m, target) == expected, (name, i)
+            outcomes[name, expected is not None] += 1
+        # a free m has no cycle space: the codeword screen lists no codewords
+        for n in (target.size, target.size + 2):
+            m = uniform(n, n, f)
+            expected = first_minor_witness(m, target)
+            assert has_minor(m, target) == expected, (name, "free", n)
+            outcomes[name, expected is not None] += 1
+    assert {found for _, found in outcomes} == {True, False}
+    assert outcomes["free", True] >= 2  # U_{3,3} is a minor of U_{n,n} for n >= 3
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_dependent_masks_cover_every_small_dependent_set(q):
     f = field_from_order(q)
     for seed in range(6):
         m = random_matroid(2 + seed % 4, 8, f, seed=5000 + 10 * q + seed)
-        masks: list[int] = []
-        _independent_masks(m._kernel, m._packed(), masks)
-        # the walk lists every circuit of at most rank(m) elements
-        for s in range(1 << m.size):
-            if s.bit_count() > m.rank:
-                continue
-            labels = [l for j, l in enumerate(m.labels) if s >> j & 1]
-            dependent = subset_rank(m, labels) < len(labels)
-            assert any(not d & ~s for d in masks) == dependent, (seed, s)
-            assert (s in masks) <= dependent
+        for limit in range(1, m.rank + 2):
+            masks = _short_dependent_sets(m._kernel, m._packed(), limit)
+            # every dependent set of at most `limit` elements holds a listed
+            # one, and every listed one is dependent and that small
+            for s in range(1 << m.size):
+                if s.bit_count() > limit:
+                    continue
+                labels = [l for j, l in enumerate(m.labels) if s >> j & 1]
+                dependent = subset_rank(m, labels) < len(labels)
+                assert any(not d & ~s for d in masks) == dependent, (seed, limit, s)
+                assert (s in masks) <= dependent
 
 
 def test_girth_of_dual_equals_min_cocircuit_size():
@@ -767,11 +844,12 @@ def test_span_kernel_matches_independent_set_oracle(q):
             assert girth(m, cutoff=cutoff) == (expected if expected <= cutoff else None)
         assert bases(m) == [tuple(m.labels[j] for j in c) for c in combinations(range(n), r)
                             if sum(1 << j for j in c) in indep]
-        dependent = []
-        masks = _independent_masks(m._kernel, m._packed(), dependent)
-        assert sorted(masks) == sorted(indep)
-        # I + j for an independent I below rank and a column j after I's last
-        assert sorted(dependent) == sorted(
-            s | 1 << j for s in indep if s.bit_count() < r
-            for j in range(s.bit_length(), n) if s | 1 << j not in indep
-        )
+        assert sorted(_independent_masks(m._kernel, m._packed())) == sorted(indep)
+        # every set of at most r + 1 columns holds a listed short dependent
+        # set exactly when it is dependent
+        short = _short_dependent_sets(m._kernel, m._packed(), r + 1)
+        assert not set(short) & indep
+        for size in range(r + 2):
+            for c in combinations(range(n), size):
+                s = sum(1 << j for j in c)
+                assert any(not d & ~s for d in short) == (s not in indep), c
