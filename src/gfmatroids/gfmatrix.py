@@ -60,10 +60,6 @@ class GFMatrix:
         return cls(field, [(0,) * cols] * rows, cols)
 
     @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "GFMatrix":
-        return cls(field, [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
-
-    @classmethod
     def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence[int]], rows: int) -> "GFMatrix":
         return cls(field, cols, rows).transpose()
 

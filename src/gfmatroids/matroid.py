@@ -14,8 +14,9 @@ Each matroid caches its columns in the kernel's form.
 One walk lists the independent sets of a matroid as bitmasks; isomorphism
 profiles, rank tables and the minor search all read from it.  A
 deletion's independent sets are its parent's that miss the deleted
-elements, so the minor search walks a contraction m/C at most once and
-reads the profile of every candidate (m/C)\\D from it by mask tests.
+elements, so the minor search walks a contraction m/C at most once,
+builds per-element masks over its independent sets with the walk, and
+reads the count and profile of every candidate (m/C)\\D from those masks.
 The target's girth g bounds that search: D must meet every circuit of
 m/C with fewer than g elements.  So the walk over contract sets drops a
 prefix, with every set that extends it, once the prefix's short circuits
@@ -578,16 +579,6 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
 # -- minor containment -------------------------------------------------------------
 
 
-def _class_masks(cols: Sequence) -> tuple[int, list[int]]:
-    """The mask of the loops among packed columns and of each parallel
-    class of two or more, bit j for column j."""
-    masks: dict[int, int] = {}
-    for j, cid in enumerate(_class_ids(cols)):
-        masks[cid] = masks.get(cid, 0) | 1 << j
-    loops = masks.pop(0, 0)
-    return loops, [c for c in masks.values() if c & (c - 1)]
-
-
 def _codeword_supports(m: RepMatroid) -> list[int]:
     """Support bitmask (bit j for column j) of one codeword per 1-dimensional
     subspace of m's cycle space, the null space of its matrix.
@@ -640,15 +631,13 @@ def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _target_screens(target: RepMatroid) -> tuple[_Profile, int, list[int], float]:
+def _target_screens(target: RepMatroid) -> tuple[_Profile, int, float]:
     """The target's side of every minor screen: its isomorphism profile,
-    loop count, sorted sizes of its parallel classes of two or more, and
-    girth (math.inf when free).  Cached, as the same targets recur."""
+    loop count and girth (math.inf when free).  Cached, as the same
+    targets recur."""
     t_cols = target._packed()
-    loops, classes = _class_masks(t_cols)
     g = _min_dependent_size(target._kernel, t_cols, target.size)
-    return (_Profile.of(target._kernel, t_cols), loops.bit_count(),
-            sorted(c.bit_count() for c in classes), math.inf if g is None else g)
+    return _Profile.of(target._kernel, t_cols), t_cols.count(0), math.inf if g is None else g
 
 
 def _forced_deletions(red: Optional[list], depth: int, g: float, words: list[int]) -> int:
@@ -793,9 +782,9 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       of m/C's columns up to size g - 1 lists, loops and parallel pairs
       first.
 
-    A candidate is a deletion of m/C, so its loops, parallel classes and
-    independent sets are those of m/C that miss D, read by one mask test
-    each.  It must pass cheap screens before the full isomorphism test:
+    A candidate is a deletion of m/C, so its loops and independent sets
+    are those of m/C that miss D, read by one mask test each.  It must pass
+    cheap screens before the full isomorphism test:
 
     - Codeword weights, when m's cycle space has at most as many
       1-dimensional subspaces as the target has independent sets (then
@@ -805,12 +794,16 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       E - C - D, so bitmask tests give the candidate's weight counts before
       m/C is built.  They must equal the target's over m's field, which
       the target's rank function gives, whatever its own field.
-    - Loop count and parallel-class sizes, from m/C's loop and class masks.
-      The first candidate of C to pass them walks m/C, once.
-    - The number of independent sets, from those of the walk that miss D:
-      by one scan for the first candidate of C to get here, and from
-      per-element masks over the walk's sets for the others, which also
-      give their isomorphism profiles.
+    - Loop count, from the mask of m/C's zero columns: the one screen
+      before the walk.  When g >= 2 the hitting sets already delete every
+      loop of m/C, so it always passes; a target of girth 1 puts no
+      condition on D, and there it keeps the D that leave the wrong number
+      of loops from the walk and the count.  Parallel classes need no
+      screen of their own: the profile match decides them exactly.
+    - The number of independent sets, from per-element masks over the sets
+      of a walk of m/C, which also give the candidate's isomorphism
+      profile.  The first candidate of C to get here walks m/C, once, and
+      builds the masks with the walk.
 
     The target's side of each screen is built once per target and cached.
     Screens and bounds only reject, so the witness is the first in
@@ -827,7 +820,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_profile, t_loops, t_classes, g = _target_screens(target)
+    t_profile, t_loops, g = _target_screens(target)
     t_count = len(t_profile.indep)
     supports = None
     if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
@@ -838,7 +831,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     nb = n - r_diff  # size of each contraction m/C
     for cmask, red, words in _contract_sets(m, r_diff, g, d_count, supports):
         rest = [j for j in range(n) if not cmask >> j & 1]  # m/C's elements, in m's indices
-        cols = checks = loops = family = elem = None
+        cols = checks = loops = family = None
         # the short circuits of m/C, as masks over its elements
         if red is None:
             short = [sum(1 << k for k, j in enumerate(rest) if w >> j & 1) for w in words]
@@ -864,38 +857,27 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                     gone |= rest_hits[j]
                 if any((group & ~gone).bit_count() != c for group, c in checks):
                     continue
-            if cols is None:
-                cols = minor(m, contract=[m.labels[j] for j in range(n) if cmask >> j & 1])._packed()
             if loops is None:
-                loops, classes = _class_masks(cols)
+                if cols is None:
+                    cols = minor(m, contract=[m.labels[j] for j in range(n) if cmask >> j & 1])._packed()
+                loops = sum(1 << k for k, c in enumerate(cols) if not c)
             if (loops & ~dmask).bit_count() != t_loops:
                 continue
-            # both sides have target.size elements and as many loops, so the
-            # classes of two or more fix the count of single ones
-            sizes = [c for c in [(p & ~dmask).bit_count() for p in classes] if c > 1]
-            if sorted(sizes) != t_classes:
-                continue
             if family is None:
-                # the first candidate of C to get here walks m/C and scans the walk
+                # the first candidate of C to get here walks m/C, once, and
+                # builds per-element masks over the walk's sets
                 family = _independent_masks(m._kernel, cols)
-                indep = [s for s in family if not s & dmask]
-                if len(indep) != t_count:
-                    continue
-                profile = _Profile(indep, [1 << j for j in range(nb) if not dmask >> j & 1])
-            else:
-                # later ones count by per-element masks over the walk's sets, built once
-                if elem is None:
-                    elem = _element_masks(family, [1 << j for j in range(nb)])
-                    bases = _size_mask(family, target.rank)
-                gone = 0
-                for j in didx:
-                    gone |= elem[j]
-                keep = ~gone & (1 << len(family)) - 1
-                if keep.bit_count() != t_count:
-                    continue
-                kept = [j for j in range(nb) if not dmask >> j & 1]
-                profile = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
-                                   [elem[j] & keep for j in kept], bases & keep)
+                elem = _element_masks(family, [1 << j for j in range(nb)])
+                bases = _size_mask(family, target.rank)
+            gone = 0
+            for j in didx:
+                gone |= elem[j]
+            keep = ~gone & (1 << len(family)) - 1
+            if keep.bit_count() != t_count:
+                continue
+            kept = [j for j in range(nb) if not dmask >> j & 1]
+            profile = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
+                               [elem[j] & keep for j in kept], bases & keep)
             if _match_profiles(profile, t_profile):
                 return (frozenset(m.labels[rest[j]] for j in didx),
                         frozenset(m.labels[j] for j in range(n) if cmask >> j & 1))

@@ -39,8 +39,8 @@ from gfmatroids import (
 from gfmatroids import matroid
 from gfmatroids.generators import Graph
 from gfmatroids.matroid import (
-    _Profile, _codeword_supports, _independent_masks, _match_profiles, _short_dependent_sets,
-    _weight_counts,
+    _Profile, _codeword_supports, _element_masks, _independent_masks, _match_profiles,
+    _short_dependent_sets, _size_mask, _weight_counts,
 )
 
 from oracles import (
@@ -70,7 +70,8 @@ def test_subset_rank_unknown_label():
 
 def test_girth_golden_values():
     assert girth(uniform(2, 4, F5)) == 3
-    free = RepMatroid(F2, GFMatrix.identity(F2, 4), list("abcd"))
+    identity = GFMatrix(F2, [[int(i == j) for j in range(4)] for i in range(4)])
+    free = RepMatroid(F2, identity, list("abcd"))
     assert girth(free) == math.inf
     pet = graphic(named_graph("petersen"), F2)
     g = named_graph("petersen")
@@ -210,7 +211,7 @@ def test_minor_rejects_overlap():
 
 
 def test_simplify_examples():
-    free = RepMatroid(F2, GFMatrix.identity(F2, 3), list("abc"))
+    free = RepMatroid(F2, GFMatrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), list("abc"))
     assert simplify(free).labels == free.labels
     m = RepMatroid(F3, GFMatrix(F3, [[1, 2], [0, 0]]), ["a", "b"])
     assert simplify(m).labels == ("a",)  # (2,0) = 2*(1,0)
@@ -376,7 +377,9 @@ def test_isomorphism_answer_is_the_same_under_column_permutations():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_filtered_profile_agrees_with_the_minor_built_outright(q):
     # has_minor reads the profile of a candidate (m/C)\D from the
-    # independent sets of m/C that miss D, by mask; build the minor instead
+    # independent sets of m/C that miss D, by mask; build the minor instead.
+    # Its per-element and basis masks number the sets by their place in the
+    # walk of m/C, and a candidate keeps the places of the sets that miss D
     from oracles import brute_isomorphic, field_ops_oracle
 
     f = field_from_order(q)
@@ -394,16 +397,26 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
         dset = set(rest) - set(rng.sample(rest, rng.randint(1, len(rest))))
         base = minor(m, contract=cset)
         dmask = sum(1 << j for j, l in enumerate(base.labels) if l in dset)
-        filtered = _Profile(
-            [s for s in _independent_masks(base._kernel, base._packed()) if not s & dmask],
-            [1 << j for j, l in enumerate(base.labels) if l not in dset],
-        )
+        family = _independent_masks(base._kernel, base._packed())
+        kept = [j for j, l in enumerate(base.labels) if l not in dset]
+        filtered = _Profile([s for s in family if not s & dmask], [1 << j for j in kept])
         cand = minor(m, delete=dset, contract=cset)
+        elem = _element_masks(family, [1 << j for j in range(base.size)])
+        gone = 0
+        for j, l in enumerate(base.labels):
+            if l in dset:
+                gone |= elem[j]
+        keep = ~gone & (1 << len(family)) - 1
+        # has_minor counts bases at the target's rank, which a match has
+        masked = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
+                          [elem[j] & keep for j in kept], _size_mask(family, cand.rank) & keep)
         built = _Profile.of(cand._kernel, cand._packed())
-        assert (filtered.n, filtered.rank, filtered.n_bases, len(filtered.indep)) == (
-            built.n, built.rank, built.n_bases, len(built.indep)
-        ), i
-        assert sorted(filtered.inv) == sorted(built.inv), i
+        for p in (filtered, masked):
+            assert (p.n, p.rank, p.n_bases, len(p.indep)) == (
+                built.n, built.rank, built.n_bases, len(built.indep)
+            ), i
+            assert sorted(p.inv) == sorted(built.inv), i
+        assert keep.bit_count() == len(built.indep), i
         if cand.size > 4:
             continue  # the brute-force oracle tries q^k combinations per k-subset
         if i % 2:
@@ -521,6 +534,48 @@ def test_has_minor_witness_is_the_same_on_a_cached_and_a_fresh_target(m, build):
     assert (weights.misses, weights.hits) == ((1, 1) if m.field.q == 2 else (0, 0))
 
 
+@pytest.mark.parametrize("m, target, codewords", [
+    (_PETERSEN, clique(5, F2), True),
+    (_PETERSEN, clique(5, F2, dualize=True), True),
+    (projective_geometry(3, F3), clique(4, F3), False),
+    (random_matroid(6, 11, F3, seed=14), clique(4, F3), False),
+], ids=["petersen-mk5", "petersen-mk5dual", "pg_2_3-mk4", "gf3_11-mk4"])
+def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, codewords):
+    # one count-and-profile path: the first candidate of a contract set C
+    # to reach the count walks m/C and builds the per-element masks with
+    # the walk; every candidate of C then reads those masks
+    expected = has_minor(m, target)  # caches the target's screens, which walk the target
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(matroid, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(matroid, name, spy)
+
+    for name in ("_independent_masks", "_element_masks", "_codeword_supports"):
+        counted(name)
+    real_sets = matroid._contract_sets
+
+    def counted_sets(*args):
+        for item in real_sets(*args):
+            calls["contract sets"] += 1
+            yield item
+
+    monkeypatch.setattr(matroid, "_contract_sets", counted_sets)
+    assert has_minor(m, target) == expected
+    assert calls["_codeword_supports"] == codewords
+    # a witness is matched on its walk's masks; against M(K5)* the weight
+    # screen rejects every candidate of Petersen before any walk, and the
+    # absent M(K4) of gf3_11 walks 13 contract sets
+    assert (expected is not None) <= calls["_independent_masks"] <= calls["contract sets"], calls
+    # with the codewords listed, one more call builds their per-element masks
+    assert calls["_element_masks"] == calls["_independent_masks"] + codewords, calls
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_codeword_supports_match_brute_force(q):
     from oracles import field_ops_oracle
@@ -602,10 +657,11 @@ def _with_column(m, col, label):
 
 
 def _first_witness_targets(f):
-    """M(K4), M(K4)*, U_{2,4} and U_{3,5} where GF(q) represents them, two
-    targets of girth at most 2, where no girth bound applies: a triangle
-    with one side doubled, and a triangle with a loop; and the free U_{3,3},
-    which has no circuit at all."""
+    """M(K4), M(K4)*, U_{2,4} and U_{3,5} where GF(q) represents them, three
+    targets of girth at most 2: a triangle with one side doubled and a
+    triangle with a loop, where no girth bound applies, and M(K3)* = U_{1,3},
+    one parallel class of three, of girth 2; and the free U_{3,3}, which has
+    no circuit at all."""
     triangle = uniform(2, 3, f)
     targets = {"mk4": clique(4, f), "mk4_dual": dual(clique(4, f))}
     if f.q >= 3:
@@ -615,6 +671,7 @@ def _first_witness_targets(f):
     targets["parallel"] = _with_column(triangle, triangle.matrix.col_tuples()[0], "p")
     targets["loop"] = _with_column(triangle, (0, 0), "z")
     targets["free"] = uniform(3, 3, f)
+    targets["mk3_dual"] = clique(3, f, dualize=True)
     return targets
 
 

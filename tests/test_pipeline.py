@@ -75,7 +75,7 @@ def test_short_circuit_single_nonbasis_falls_back_to_fundamental():
 
 
 def test_short_circuit_free_matroid_errors():
-    free = RepMatroid(F2, GFMatrix.identity(F2, 3), list("abc"))
+    free = RepMatroid(F2, GFMatrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), list("abc"))
     with pytest.raises(NoCircuitError):
         find_short_circuit(free, list("abc"))
 
