@@ -5,6 +5,9 @@ the coefficients of the residue polynomial: digit i is the coefficient of
 x^i.  Code 0 is the additive identity and code 1 the multiplicative one,
 so for prime fields (k = 1) the encoding is just the usual residue.
 
+A FieldSpec precomputes q x q addition and multiplication tables and
+negation and inverse lists; the kernels subtract e*p by adding (-e)*p.
+
 All operations are pure; a FieldSpec is immutable after construction and
 safe to share between threads.
 """
@@ -24,8 +27,8 @@ _BUNDLED_MODULI = {
     (5, 2): (2, 4, 1),        # x^2 + 4x + 2
 }
 
-# Largest supported field order: every field gets full q x q operation
-# tables, and `GFMatrix.data` holds element codes as uint8.
+# Largest supported field order: every field gets q x q addition and
+# multiplication tables, and `GFMatrix.data` holds element codes as uint8.
 MAX_ORDER = 256
 
 
@@ -66,13 +69,13 @@ class FieldSpec:
         defaults to the bundled table, and a reducible one is refused
         with ValueError.
 
-    Operation tables are precomputed; orders above MAX_ORDER = 256 are
-    refused with ValueError.
+    Tables are precomputed (see the module docstring); orders above
+    MAX_ORDER = 256 are refused with ValueError.
     """
 
     __slots__ = (
         "p", "k", "q", "modulus",
-        "_add", "_sub", "_mul", "_neg", "_inv",
+        "_add", "_mul", "_neg", "_inv",
     )
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -137,17 +140,12 @@ class FieldSpec:
             ) from None
         # a row of `add` holds 0 once, at the additive inverse
         neg = [row.index(0) for row in add]
-        sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
-        self._add, self._sub, self._mul = add, sub, mul
-        self._neg, self._inv = neg, inv
+        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
 
     # -- scalar operations ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]

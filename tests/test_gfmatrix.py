@@ -235,3 +235,36 @@ def test_only_gfmatrix_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.add(path.name)
     assert importers == {"gfmatrix.py"}
+
+
+def test_standard_form_rejects_wrong_label_count():
+    _, m = _mat(3, [[1, 0, 1], [0, 1, 2]])
+    with pytest.raises(ValueError, match="2 labels for 3 columns"):
+        standard_form(m, ["e1", "e2"], {"e1", "e2"})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_standard_form_accepts_exactly_the_bases(q):
+    # every subset of the columns, on matrices with more rows than rank
+    from itertools import combinations
+
+    f = field_from_order(q)
+    add, mul = field_ops_oracle(f.p, f.k, f.modulus)
+    rng = random.Random(q)
+    labels = [f"x{j}" for j in range(5)]
+    for _ in range(6):
+        rows = [[rng.randrange(q) for _ in range(5)] for _ in range(2)]
+        rows.append([add(x, y) for x, y in zip(*rows)])
+        m = GFMatrix(f, rows)
+        cols = m.col_tuples()
+        rank = brute_rank(q, add, mul, cols)
+        for size in range(len(labels) + 1):
+            for combo in combinations(range(5), size):
+                is_basis = size == rank == brute_rank(q, add, mul, [cols[j] for j in combo])
+                try:
+                    sf = standard_form(m, labels, {labels[j] for j in combo})
+                except NotABasisError:
+                    assert not is_basis, combo
+                else:
+                    assert is_basis, combo
+                    assert sf.basis_order == tuple(labels[j] for j in combo)

@@ -910,3 +910,20 @@ def test_span_kernel_matches_independent_set_oracle(q):
             for c in combinations(range(n), size):
                 s = sum(1 << j for j in c)
                 assert any(not d & ~s for d in short) == (s not in indep), c
+
+
+def test_repmatroid_rejects_mismatched_inputs():
+    mat = GFMatrix(F2, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="matrix field differs"):
+        RepMatroid(F3, mat, ("a", "b"))
+    with pytest.raises(ValueError, match="3 labels for 2 columns"):
+        RepMatroid(F2, mat, ("a", "b", "c"))
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        RepMatroid(F2, mat, ("a", "a"))
+
+
+def test_is_circuit_of_empty_and_independent_sets():
+    m = clique(4, F2)
+    assert not is_circuit(m, ())
+    assert not is_circuit(m, ("0-1", "0-2"))
+    assert is_circuit(m, ("0-1", "0-2", "1-2"))

@@ -22,6 +22,7 @@ from gfmatroids import (
     has_minor,
     is_circuit,
     is_cosimple,
+    is_isomorphic,
     named_graph,
     packing_ratios,
     projective_geometry,
@@ -219,6 +220,26 @@ def test_verify_mk4_dual_finding_matches_its_own_minor_search(q):
         assert (witness is not None) == brute_minor(m, mk4_dual)
         statuses.add(findings["mk4_dual"].status)
     assert statuses == {"found", "absent"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_clique_is_isomorphic_to_its_dual_exactly_at_t4(q):
+    # verify copies the mk_t finding to mk_t_dual exactly when t == 4
+    f = field_from_order(q)
+    for t in range(2, 6):
+        assert is_isomorphic(clique(t, f), clique(t, f, dualize=True)) == (t == 4), t
+
+
+@pytest.mark.parametrize("basis_mode", ["all", "sample"])
+def test_verify_rank_zero(basis_mode):
+    # at rank 0 the one basis is (): three loops have girth 1, and the empty
+    # matroid has no circuit at all
+    loops = RepMatroid(F2, GFMatrix(F2, [], 3), ("a", "b", "c"))
+    r = verify_dichotomy(loops, 3, basis_mode=basis_mode).to_json_dict()
+    assert (r["girth"], r["circuit"], r["circuit_size"]) == (1, ["a"], 1)
+    empty = RepMatroid(F2, GFMatrix(F2, [], 0), ())
+    with pytest.raises(NoCircuitError, match="free matroid has no circuits"):
+        verify_dichotomy(empty, 3, basis_mode=basis_mode)
 
 
 @pytest.mark.parametrize("q", [2, 5])

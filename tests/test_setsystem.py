@@ -261,3 +261,15 @@ def test_claim_chain_full_fiber_equality():
             chk = claim_chain_check(s, sf, w)
             assert chk.traces == chk.distinct_restricted_cols
             assert chk.ok
+
+
+def test_set_system_rejects_bad_arguments():
+    s = build_set_system(sf_from_a(3, [[1, 2], [1, 0]]))
+    assert s.ground_mask([("b1", 2)]) == 1 << 1
+    for bad in (("b3", 1), ("b1", 0), ("e1", 1)):
+        with pytest.raises(ValueError, match="is not a ground element"):
+            s.ground_mask([bad])
+    with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+        shatter(s, -1)
+    with pytest.raises(ValueError, match="delta must be >= 1, got 0"):
+        greedy_delta_packing(s, 0)
