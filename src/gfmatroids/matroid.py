@@ -12,7 +12,13 @@ use tuples of element codes scaled so that the first nonzero entry is 1.
 Each matroid caches its columns in the kernel's form.
 
 One walk lists the independent sets of a matroid as bitmasks; isomorphism
-profiles, rank tables and the minor search all read from it.  A
+profiles, rank tables and the minor search all read from it, and `bases`
+walks the same way over labels.  Like girth's search, each walk stops
+reducing one level above its leaves: a set of r - 2 chosen columns closes
+with one pair test, since two later columns extend it to an independent
+r-set exactly when their reduced forms are nonzero and differ.  So a walk
+needs the rank r, and its caller hands it over: the matroid's cached
+rank, or the target's for a contraction m/C of the minor search.  A
 deletion's independent sets are its parent's that miss the deleted
 elements, so the minor search walks a contraction m/C at most once,
 builds per-element masks over its independent sets with the walk, and
@@ -51,7 +57,9 @@ class TooLargeError(ValueError):
 
 # Exact-search size limits, in elements: each guard raises TooLargeError above its limit.
 GIRTH_LIMIT = 24  # girth without a cutoff
-ENUMERATION_LIMIT = 16  # rank_table, bases, and the ground set of has_minor
+# rank_table, bases and the ground set of has_minor; past GIRTH_LIMIT, girth
+# without a cutoff lists at most 2^ENUMERATION_LIMIT codewords
+ENUMERATION_LIMIT = 16
 ISOMORPHISM_LIMIT = 12
 MINOR_TARGET_LIMIT = 10
 
@@ -224,28 +232,41 @@ def girth(m: RepMatroid, cutoff: Optional[int] = None):
     ones, hold two equal entries exactly when they complete a circuit of
     s elements.  Returns math.inf for a free matroid.  With a cutoff,
     returns None when every circuit is larger than the cutoff instead of
-    exhausting; without one, ground sets above GIRTH_LIMIT elements are
-    rejected.  A cutoff below 1 is an error: no circuit is that small.
+    exhausting.  Without one, a ground set above GIRTH_LIMIT elements is
+    answered by the least weight of a codeword, the support of a smallest
+    circuit, when the cycle space has at most 2^ENUMERATION_LIMIT
+    1-dimensional subspaces, and rejected otherwise.  A cutoff below 1 is
+    an error: no circuit is that small.
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"girth cutoff must be >= 1, got {cutoff}")
-    n = m.size
-    if cutoff is None and n > GIRTH_LIMIT:
-        raise TooLargeError(
-            f"exact girth limited to {GIRTH_LIMIT} elements (|E| = {n}); pass a cutoff"
-        )
-    if m.rank == n:
+    n, r, q = m.size, m.rank, m.field.q
+    if r == n:
         return math.inf
-    hi = m.rank + 1 if cutoff is None else min(cutoff, m.rank + 1)
+    if cutoff is None and n > GIRTH_LIMIT:
+        if (q ** (n - r) - 1) // (q - 1) > 1 << ENUMERATION_LIMIT:
+            raise TooLargeError(
+                f"exact girth limited to {GIRTH_LIMIT} elements (|E| = {n}); pass a cutoff"
+            )
+        return min(map(int.bit_count, _codeword_supports(m)))
+    hi = r + 1 if cutoff is None else min(cutoff, r + 1)
     return _min_dependent_size(m._kernel, m._packed(), hi)
 
 
 # -- exhaustive rank tables and bases --------------------------------------------
 
 
-def _independent_masks(kern: _Kernel, cols: Sequence) -> list[int]:
-    """Every independent set of the columns as a bitmask, bit j for column j."""
-    r, reduce = _rank(kern, cols), kern.reduce
+def _independent_masks(kern: _Kernel, cols: Sequence, r: int) -> list[int]:
+    """Every independent set of the columns as a bitmask, bit j for column
+    j, in preorder: a set comes before its extensions, and sets are ordered
+    as their index tuples.  The caller supplies r, the columns' rank.
+
+    A set of r - 2 chosen columns closes its subtree with one pair test:
+    its (r - 1)-sets add a later column that has not reduced to 0, and its
+    r-sets add two such columns whose reduced forms differ, as two reduced
+    columns are equal exactly when they are parallel modulo the span.
+    """
+    reduce = kern.reduce
     out = [0]
 
     def rec(red: list, start: int, depth: int, mask: int) -> None:
@@ -254,8 +275,11 @@ def _independent_masks(kern: _Kernel, cols: Sequence) -> list[int]:
             if p:
                 child = mask | 1 << j
                 out.append(child)
-                if depth + 1 < r:  # a basis spans every further column
+                if depth + 2 < r:
                     rec(reduce(p, red[j + 1 - start:]), j + 1, depth + 1, child)
+                elif depth + 2 == r:  # the pair close
+                    out.extend(child | 1 << k
+                               for k, c in enumerate(red[j + 1 - start:], j + 1) if c and c != p)
 
     if r:
         rec(cols, 0, 0, 0)
@@ -268,7 +292,7 @@ def rank_table(m: RepMatroid) -> list[int]:
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"rank_table limited to {ENUMERATION_LIMIT} elements (|E| = {n})")
     table = [0] * (1 << n)
-    for s in _independent_masks(m._kernel, m._packed()):
+    for s in _independent_masks(m._kernel, m._packed(), m.rank):
         table[s] = s.bit_count()
     # subset-max sweep, one element at a time: the rank of a set is the size
     # of the largest independent set inside it
@@ -281,7 +305,12 @@ def rank_table(m: RepMatroid) -> list[int]:
 
 
 def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
-    """All independent `size`-subsets, in lexicographic column-index order."""
+    """All independent `size`-subsets, in lexicographic column-index order.
+
+    As in `_independent_masks`, a set of size - 2 chosen columns closes
+    with a pair test: it extends by two later columns whose reduced forms
+    are nonzero and differ.
+    """
     labels, reduce = m.labels, m._kernel.reduce
     out: list[tuple[str, ...]] = []
 
@@ -289,12 +318,16 @@ def _independent_subsets(m: RepMatroid, size: int) -> list[tuple[str, ...]]:
         # red: the columns from `start` on, reduced by the chosen ones
         need = size - len(chosen)
         for j in range(len(red) - need + 1):  # leave `need - 1` columns after j
-            if red[j]:
+            p = red[j]
+            if p:
                 picked = chosen + (labels[start + j],)
                 if need == 1:
                     out.append(picked)
+                elif need == 2:  # the pair close
+                    out.extend(picked + (labels[start + k],)
+                               for k in range(j + 1, len(red)) if red[k] and red[k] != p)
                 else:
-                    rec(reduce(red[j], red[j + 1:]), start + j + 1, picked)
+                    rec(reduce(p, red[j + 1:]), start + j + 1, picked)
 
     if size == 0:
         return [()]
@@ -508,8 +541,8 @@ class _Profile:
         ]
 
     @classmethod
-    def of(cls, kern: _Kernel, cols: Sequence) -> _Profile:
-        return cls(_independent_masks(kern, cols), [1 << j for j in range(len(cols))])
+    def of(cls, m: RepMatroid) -> _Profile:
+        return cls(_independent_masks(m._kernel, m._packed(), m.rank), [1 << j for j in range(m.size)])
 
 
 def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
@@ -571,9 +604,7 @@ def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
         return False
     if a.size > ISOMORPHISM_LIMIT:
         raise TooLargeError(f"isomorphism limited to {ISOMORPHISM_LIMIT} elements (|E| = {a.size})")
-    return _match_profiles(
-        _Profile.of(a._kernel, a._packed()), _Profile.of(b._kernel, b._packed())
-    )
+    return _match_profiles(_Profile.of(a), _Profile.of(b))
 
 
 # -- minor containment -------------------------------------------------------------
@@ -637,7 +668,7 @@ def _target_screens(target: RepMatroid) -> tuple[_Profile, int, float]:
     targets recur."""
     t_cols = target._packed()
     g = _min_dependent_size(target._kernel, t_cols, target.size)
-    return _Profile.of(target._kernel, t_cols), t_cols.count(0), math.inf if g is None else g
+    return _Profile.of(target), t_cols.count(0), math.inf if g is None else g
 
 
 def _forced_deletions(red: Optional[list], depth: int, g: float, words: list[int]) -> int:
@@ -866,7 +897,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
             if family is None:
                 # the first candidate of C to get here walks m/C, once, and
                 # builds per-element masks over the walk's sets
-                family = _independent_masks(m._kernel, cols)
+                family = _independent_masks(m._kernel, cols, target.rank)  # m/C has the target's rank
                 elem = _element_masks(family, [1 << j for j in range(nb)])
                 bases = _size_mask(family, target.rank)
             gone = 0

@@ -292,6 +292,16 @@ def test_verify_mk4_dual(capsys):
     ]
 
 
+def test_girth_past_the_size_limit(capsys):
+    # McGee's 36 elements: the least weight of its 2^13 - 1 codewords; the
+    # cycle space of PG(2, 27) has 754 dimensions, too many to list
+    code, rep = run_json(capsys, "girth", "gen:mcgee@gf2")
+    assert (code, rep["girth"]) == (0, 7)
+    code, rep = run_json(capsys, "girth", "gen:pg_2_27")
+    assert code == 2
+    assert rep["error"]["type"] == "TooLargeError"
+
+
 def test_verify_past_the_girth_limit_exits_0(capsys):
     code, rep = run_json(capsys, "verify", "gen:mcgee@gf2", "--t", "5", "--basis", "sample:5")
     assert code == 0

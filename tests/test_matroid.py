@@ -85,6 +85,25 @@ def test_girth_of_mcgee_at_its_cutoff():
     assert girth(graphic(g, F2), cutoff=7) == graph_girth_oracle(g.n, g.edges) == 7
 
 
+def test_girth_past_the_size_limit_reads_the_codewords():
+    # McGee has 36 elements and a cycle space of 2^13 - 1 codewords: without
+    # a cutoff, girth takes their least weight instead of refusing
+    g = named_graph("mcgee")
+    mcgee = graphic(g, F2)
+    assert mcgee.size > matroid.GIRTH_LIMIT
+    assert girth(mcgee) == graph_girth_oracle(g.n, g.edges) == 7
+    # seeded binary matroids of 25-30 elements whose cycle spaces have 12-16
+    # dimensions: small girth, so the subset search at cutoff r + 1 is quick
+    rng = random.Random(25)
+    girths = []
+    for i in range(8):
+        n = rng.randint(matroid.GIRTH_LIMIT + 1, 30)
+        m = random_matroid(n - rng.randint(12, 16), n, F2, seed=8000 + i)
+        girths.append(girth(m))
+        assert girths[-1] == girth(m, cutoff=m.rank + 1), i
+    assert len(set(girths)) > 2, girths
+
+
 def test_girth_cutoff_and_guard():
     pet = graphic(named_graph("petersen"), F2)
     assert girth(pet, cutoff=4) is None
@@ -339,7 +358,7 @@ def test_bijection_search_decides_between_equal_profiles():
     # per-element pairs agree, and only the pairwise check can tell them apart
     hexagon = _cycles_of_lines(5, (6,))
     triangles = _cycles_of_lines(0, (3, 3))
-    pa, pb = (_Profile.of(m._kernel, m._packed()) for m in (hexagon, triangles))
+    pa, pb = (_Profile.of(m) for m in (hexagon, triangles))
     assert (pa.n, pa.rank, pa.n_bases, len(pa.indep)) == (pb.n, pb.rank, pb.n_bases, len(pb.indep))
     assert sorted(pa.inv) == sorted(pb.inv)
     assert not is_isomorphic(hexagon, triangles)
@@ -361,7 +380,7 @@ def test_isomorphism_answer_is_the_same_under_column_permutations():
         f = field_from_order(q)
         add, mul = field_ops_oracle(f.p, f.k, f.modulus)
         a, b = (random_matroid(r, n, f, seed=seed) for seed in seeds)
-        pa, pb = (_Profile.of(m._kernel, m._packed()) for m in (a, b))
+        pa, pb = (_Profile.of(m) for m in (a, b))
         assert (pa.n_bases, len(pa.indep)) == (pb.n_bases, len(pb.indep))
         for other in (b, _relabelled_copy(a, rng)):
             expected = brute_isomorphic(q, add, mul, a.matrix.col_tuples(), other.matrix.col_tuples())
@@ -371,7 +390,7 @@ def test_isomorphism_answer_is_the_same_under_column_permutations():
         for _ in range(5):
             a2, b2 = _relabelled_copy(a, rng), _relabelled_copy(b, rng)
             assert is_isomorphic(a2, b2) == expected
-            assert _match_profiles(*(_Profile.of(m._kernel, m._packed()) for m in (a2, b2))) == expected
+            assert _match_profiles(*(_Profile.of(m) for m in (a2, b2))) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -397,7 +416,7 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
         dset = set(rest) - set(rng.sample(rest, rng.randint(1, len(rest))))
         base = minor(m, contract=cset)
         dmask = sum(1 << j for j, l in enumerate(base.labels) if l in dset)
-        family = _independent_masks(base._kernel, base._packed())
+        family = _independent_masks(base._kernel, base._packed(), base.rank)
         kept = [j for j, l in enumerate(base.labels) if l not in dset]
         filtered = _Profile([s for s in family if not s & dmask], [1 << j for j in kept])
         cand = minor(m, delete=dset, contract=cset)
@@ -410,7 +429,7 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
         # has_minor counts bases at the target's rank, which a match has
         masked = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
                           [elem[j] & keep for j in kept], _size_mask(family, cand.rank) & keep)
-        built = _Profile.of(cand._kernel, cand._packed())
+        built = _Profile.of(cand)
         for p in (filtered, masked):
             assert (p.n, p.rank, p.n_bases, len(p.indep)) == (
                 built.n, built.rank, built.n_bases, len(built.indep)
@@ -424,7 +443,7 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
         else:
             other = random_matroid(cand.rank, cand.size, f, seed=9500 + 100 * q + i)
         expected = brute_isomorphic(q, add, mul, cand.matrix.col_tuples(), other.matrix.col_tuples())
-        assert _match_profiles(filtered, _Profile.of(other._kernel, other._packed())) == expected, i
+        assert _match_profiles(filtered, _Profile.of(other)) == expected, i
         answers.append(expected)
     assert True in answers and False in answers
 
@@ -842,9 +861,11 @@ def test_sample_bases_seeded_gf3():
 
 def _kernel_instances(q, add, mul):
     """Seeded matrices over GF(q) of ranks 1-5 with forced loops and
-    parallel pairs, then, for s = 3 and 4, three generic columns followed
+    parallel pairs; then, for s = 3 and 4, three generic columns followed
     by an s-circuit that is the only dependent set of at most s columns:
-    a search that stops one start early misses it."""
+    a search that stops one start early misses it; then matrices of rank
+    1, 2 and 4, each with a loop and a parallel class of three columns
+    scaled by different nonzero elements where the field has them."""
     rng = random.Random(7000 + q)
     out = []
     for i in range(10):
@@ -875,6 +896,23 @@ def _kernel_instances(q, add, mul):
                 break
         else:
             raise AssertionError(f"no GF({q}) instance with a lone last {s}-circuit")
+    for r in (1, 2, 4):
+        while True:
+            gens = [[rng.randrange(q) for _ in range(r + 1)] for _ in range(r)]
+            cols = []
+            for _ in range(r + 4):
+                col = [0] * (r + 1)
+                for g in gens:
+                    c = rng.randrange(q)
+                    col = [add(x, mul(c, y)) for x, y in zip(col, g)]
+                cols.append(tuple(col))
+            a, b, c, z = rng.sample(range(len(cols)), 4)
+            for k, j in enumerate((b, c), 1):
+                cols[j] = tuple(mul(1 + k % (q - 1), x) for x in cols[a])
+            cols[z] = (0,) * (r + 1)
+            if any(cols[a]) and max(map(int.bit_count, independent_masks_oracle(q, add, mul, cols))) == r:
+                out.append(cols)
+                break
     return out
 
 
@@ -899,9 +937,23 @@ def test_span_kernel_matches_independent_set_oracle(q):
         assert girth(m) == expected
         for cutoff in range(1, r + 2):
             assert girth(m, cutoff=cutoff) == (expected if expected <= cutoff else None)
+        # both walks reduce once per independent set of 1 to r - 2 columns
+        # and close with the pair test; the masks come in preorder, that is
+        # in the order of their index tuples
+        reductions = []
+        kern = m._kernel
+        m._kernel = kern._replace(reduce=lambda p, red: reductions.append(p) or kern.reduce(p, red))
+        order = sorted(indep, key=lambda s: [j for j in range(n) if s >> j & 1])
+        assert _independent_masks(m._kernel, m._packed(), r) == order
+        assert len(reductions) == sum(1 <= s.bit_count() <= r - 2 for s in indep)
+        reductions.clear()
         assert bases(m) == [tuple(m.labels[j] for j in c) for c in combinations(range(n), r)
                             if sum(1 << j for j in c) in indep]
-        assert sorted(_independent_masks(m._kernel, m._packed())) == sorted(indep)
+        # the basis walk skips a set with fewer later columns than it needs
+        assert len(reductions) == sum(
+            1 <= s.bit_count() <= r - 2 and n - s.bit_length() >= r - s.bit_count() for s in indep
+        )
+        m._kernel = kern
         # every set of at most r + 1 columns holds a listed short dependent
         # set exactly when it is dependent
         short = _short_dependent_sets(m._kernel, m._packed(), r + 1)

@@ -151,8 +151,8 @@ def test_verify_dichotomy_sampled_mode():
 
 
 def test_verify_dichotomy_past_the_girth_limit_reports_exact_girth():
-    # McGee has 36 elements: girth without a cutoff refuses it, and the
-    # report must degrade only its minor findings
+    # McGee has 36 elements: verify passes its worst short circuit's size
+    # as the girth cutoff, and the report must degrade only its minor findings
     mcgee = from_id("mcgee@gf2")
     assert mcgee.size > GIRTH_LIMIT
     rep = verify_dichotomy(mcgee, 5, basis_mode="sample", samples=5)
