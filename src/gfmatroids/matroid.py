@@ -638,15 +638,15 @@ def _codeword_supports(m: RepMatroid) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
     """{weight: count} of the 1-dimensional subspaces of the cycle space of
     any GF(q) representation of m, from its rank function alone.
 
     The cycle-space vectors with support inside T number q^(|T| - r(T));
     inclusion-exclusion over the subsets of each support leaves those of
-    exact weight w (Greene's theorem).  Cached, as minor targets recur:
-    the counts depend on q, not on m's own field.
+    exact weight w (Greene's theorem).  The counts depend on q, not on m's
+    own field, and the least weight is m's girth: a set smaller than every
+    circuit counts 0, and a circuit counts q - 1.
     """
     n = m.size
     by_size = [0] * (n + 1)  # sum of q^(|T| - r(T)) over the T of each size
@@ -662,58 +662,57 @@ def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _target_screens(target: RepMatroid) -> tuple[_Profile, int, float]:
-    """The target's side of every minor screen: its isomorphism profile,
-    loop count and girth (math.inf when free).  Cached, as the same
-    targets recur."""
-    t_cols = target._packed()
-    g = _min_dependent_size(target._kernel, t_cols, target.size)
-    return _Profile.of(target), t_cols.count(0), math.inf if g is None else g
+def _target_screens(target: RepMatroid, q: int) -> tuple[_Profile, int, dict[int, int], float]:
+    """The target's side of every minor screen over GF(q): its isomorphism
+    profile, loop count, codeword weight counts and girth, the least weight
+    (math.inf when free).  Cached, as the same targets recur."""
+    counts = _weight_counts(target, q)
+    return _Profile.of(target), target._packed().count(0), counts, min(counts, default=math.inf)
 
 
-def _forced_deletions(red: Optional[list], depth: int, g: float, words: list[int]) -> int:
+def _forced_deletions(red: list, depth: int, g: float, words: list[int]) -> int:
     """A lower bound on the deletions that the circuits of m/P with fewer
     than g elements force, P of `depth` elements.  From m's columns
     reduced by P: its loops, and its parallel classes less one element
-    each.  Otherwise from the parts outside P of m's codewords: the short
-    ones, each disjoint from the others, taken greedily, smallest first."""
+    each.  When m's codewords are listed, raised to a packing of the parts
+    outside P of the short ones: each disjoint from the others, taken
+    greedily, smallest first."""
     if g <= 1:
         return 0
-    if red is not None:
-        if g == 2:
-            return red.count(0) - depth  # the loops: P's own columns reduce to 0 too
+    if g == 2:
+        need = red.count(0) - depth  # the loops: P's own columns reduce to 0 too
+    else:
         distinct = set(red)
-        distinct.discard(0)
-        return len(red) - depth - len(distinct)
-    need = covered = 0
-    for w in sorted((w for w in words if w.bit_count() < g), key=int.bit_count):
+        need = len(red) - depth - len(distinct) + (0 in distinct)
+    packed = covered = 0
+    for w in sorted(words, key=int.bit_count):
+        if w.bit_count() >= g:
+            break
         if not w & covered:
             covered |= w
-            need += 1
-    return need
+            packed += 1
+    return max(need, packed)
 
 
 def _contract_sets(m: RepMatroid, size: int, g: float, d_count: int, supports: Optional[list[int]]):
     """Yield (C, columns, words): each independent `size`-subset C of m's
     columns whose short circuits need at most d_count deletions, in
-    lexicographic column-index order, as a bitmask.
+    lexicographic column-index order, as a bitmask, with m's columns
+    reduced by C and, when m's codeword supports are given, their parts
+    outside C of fewer than g elements.
 
-    A depth-first walk chooses C's columns in index order.  A dependent
-    set X of m/P, for a prefix P of C, leaves X - C dependent in m/C, and
-    its circuits there must meet the deletion set when smaller than g; so
-    once the short circuits of m/P force more than d_count deletions, the
-    walk skips P and every extension of it.
-
-    Given m's codeword supports, the walk reads both independence and the
-    short circuits from them: it carries their parts outside P, and keeps
-    those that can still come within g elements of C.  It yields the
-    parts outside C of fewer than g elements, and no columns.  Without
-    codewords, it reduces all of m's columns by each chosen column, as
-    `_independent_subsets` does, and yields m's columns reduced by C.
+    A depth-first walk chooses C's columns in index order, and reduces all
+    of m's columns by each chosen column, as `_independent_subsets` does.
+    It carries the codewords' parts outside the prefix P, keeping those
+    that can still come within g elements of C.  A dependent set X of m/P
+    leaves X - C dependent in m/C, and its circuits there must meet the
+    deletion set when smaller than g; so once the short circuits of m/P
+    force more than d_count deletions, the walk skips P and every
+    extension of it.
     """
     n, reduce = m.size, m._kernel.reduce
 
-    def rec(red: Optional[list], start: int, depth: int, pmask: int, words: list[int]):
+    def rec(red: list, start: int, depth: int, pmask: int, words: list[int]):
         if _forced_deletions(red, depth, g, words) > d_count:
             return
         if depth == size:
@@ -721,17 +720,12 @@ def _contract_sets(m: RepMatroid, size: int, g: float, d_count: int, supports: O
             return
         slack = size - depth - 1  # columns still to choose after the next
         for j in range(start, n - slack):
-            if red is None:
+            if red[j]:
                 keep = ~(1 << j)
                 kept = [o for o in (w & keep for w in words) if o.bit_count() - slack < g]
-                if 0 not in kept:  # no codeword inside P + j
-                    yield from rec(None, j + 1, depth + 1, pmask | 1 << j, kept)
-            elif red[j]:
-                yield from rec(reduce(red[j], red), j + 1, depth + 1, pmask | 1 << j, [])
+                yield from rec(reduce(red[j], red), j + 1, depth + 1, pmask | 1 << j, kept)
 
-    if supports is None:
-        return rec(list(m._packed()), 0, 0, 0, [])
-    return rec(None, 0, 0, 0, [w for w in supports if w.bit_count() - size < g])
+    return rec(list(m._packed()), 0, 0, 0, [w for w in supports or () if w.bit_count() - size < g])
 
 
 def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[int]:
@@ -800,13 +794,14 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     g: a candidate (m/C)\\D isomorphic to the target has no circuit of
     fewer than g elements, so D meets every such circuit of m/C.
 
-    - Contract sets come from a depth-first walk in lexicographic order
-      that drops a prefix P and its whole subtree once m/P's disjoint
-      short circuits need more than |D| deletions: a dependent set of m/P
-      stays dependent in m/C less the rest of C.  Those circuits are m/P's
-      loops and repeated reduced columns, or, when m's codewords are
-      listed, its short codewords, which the walk then reads independence
-      from as well, reducing no columns.
+    - Contract sets come from one depth-first walk in lexicographic order
+      that reduces m's columns by each chosen column, so it yields m/C's
+      columns with C, and drops a prefix P and its whole subtree once
+      m/P's disjoint short circuits need more than |D| deletions: a
+      dependent set of m/P stays dependent in m/C less the rest of C.
+      Those circuits are m/P's loops and repeated reduced columns and,
+      when m's codewords are listed, its short codewords, which the walk
+      carries outside P; the larger of the two counts bounds P.
     - Deletion sets are enumerated in itertools.combinations order among
       the hitting sets of the short circuits of m/C: its short codewords
       when listed, and otherwise the short dependent sets that a search
@@ -823,7 +818,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       are listed once.  As C is independent, the cycle space of (m/C)\\D is
       one to one with m's codewords that vanish on D, restricted to
       E - C - D, so bitmask tests give the candidate's weight counts before
-      m/C is built.  They must equal the target's over m's field, which
+      m/C is walked.  They must equal the target's over m's field, which
       the target's rank function gives, whatever its own field.
     - Loop count, from the mask of m/C's zero columns: the one screen
       before the walk.  When g >= 2 the hitting sets already delete every
@@ -836,7 +831,8 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       profile.  The first candidate of C to get here walks m/C, once, and
       builds the masks with the walk.
 
-    The target's side of each screen is built once per target and cached.
+    The target's side of each screen, its girth included, is built once
+    per target and field and cached.
     Screens and bounds only reject, so the witness is the first in
     canonical order.
     """
@@ -851,24 +847,23 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_profile, t_loops, g = _target_screens(target)
+    t_profile, t_loops, t_counts, g = _target_screens(target, q)
     t_count = len(t_profile.indep)
     supports = None
     if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
         supports = _codeword_supports(m)
-        t_counts = _weight_counts(target, q)
         # per element, a mask over codeword indices: the codewords whose support holds it
         hits = _element_masks(supports, [1 << e for e in range(n)])
     nb = n - r_diff  # size of each contraction m/C
     for cmask, red, words in _contract_sets(m, r_diff, g, d_count, supports):
         rest = [j for j in range(n) if not cmask >> j & 1]  # m/C's elements, in m's indices
-        cols = checks = loops = family = None
+        cols = [red[j] for j in rest]  # m/C's columns
+        checks = loops = family = None
         # the short circuits of m/C, as masks over its elements
-        if red is None:
-            short = [sum(1 << k for k, j in enumerate(rest) if w >> j & 1) for w in words]
-        else:
-            cols = [red[j] for j in rest]
+        if supports is None:
             short = _short_dependent_sets(m._kernel, cols, g - 1)
+        else:
+            short = [sum(1 << k for k, j in enumerate(rest) if w >> j & 1) for w in words]
         for didx, dmask in _hitting_sets(nb, d_count, short):
             if supports is not None:
                 if checks is None:
@@ -889,8 +884,6 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                 if any((group & ~gone).bit_count() != c for group, c in checks):
                     continue
             if loops is None:
-                if cols is None:
-                    cols = minor(m, contract=[m.labels[j] for j in range(n) if cmask >> j & 1])._packed()
                 loops = sum(1 << k for k, c in enumerate(cols) if not c)
             if (loops & ~dmask).bit_count() != t_loops:
                 continue

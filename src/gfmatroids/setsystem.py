@@ -130,8 +130,10 @@ def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0) -
     """Maximum trace count over m-element ground subsets.
 
     Without `trials`, all C(|V|, m) subsets are enumerated and the value is
-    exact; more than `SHATTER_LIMIT` of them is a ValueError.  With it, that
-    many seeded random subsets give a lower bound.
+    exact; more than `SHATTER_LIMIT` of them is a ValueError, unless the
+    family is empty and every trace count 0.  Exact mode stops at the first
+    subset that reaches the family's distinct members, or 2^m.  With
+    `trials`, that many seeded random subsets give a lower bound.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -141,11 +143,11 @@ def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0) -
     m = min(m, g)
     masks = [mask for _, mask in s.members]
     distinct_total = len(set(masks))
-    ceiling = min(2**m if m < 60 else distinct_total, max(distinct_total, 1))
+    ceiling = min(2**m if m < 60 else distinct_total, distinct_total)
     exact = trials is None
     if exact:
         n_subsets = math.comb(g, m)
-        if n_subsets > SHATTER_LIMIT:
+        if n_subsets > SHATTER_LIMIT and ceiling:
             raise ValueError(
                 f"exact shatter needs {n_subsets} subsets, over the limit {SHATTER_LIMIT}"
             )
@@ -158,11 +160,9 @@ def shatter(s: SetSystem, m: int, trials: Optional[int] = None, seed: int = 0) -
     for combo in subsets:
         wmask = sum(1 << i for i in combo)
         checked += 1
-        val = len({mk & wmask for mk in masks})
-        if val > best:
-            best = val
-            if exact and best >= ceiling:
-                break
+        best = max(best, len({mk & wmask for mk in masks}))
+        if exact and best >= ceiling:
+            break
     return ShatterResult(best, exact, m, checked)
 
 

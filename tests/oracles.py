@@ -110,9 +110,10 @@ def contract_columns_oracle(q, add, mul, cols, contract, keep):
     return [tuple(r[j] for r in rows) for j in keep]
 
 
-def first_minor_witness(m, target):
-    """The first (delete, contract) pair, as label sets, that makes a minor
-    of m isomorphic to the target, or None; independent of `has_minor`.
+def minor_witnesses(m, target):
+    """Yield, for each contract set with one, the first (delete, contract)
+    pair, as label sets, that makes a minor of m isomorphic to the target;
+    independent of `has_minor`.
 
     Contract sets C are the independent subsets of rank(m) - rank(target)
     columns in lexicographic column-index order, and for each, deletion
@@ -134,7 +135,7 @@ def first_minor_witness(m, target):
     r_diff = max(s.bit_count() for s in indep) - max(s.bit_count() for s in t_indep)
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
-        return None
+        return
     for cset in combinations(range(n), r_diff):
         cmask = sum(1 << j for j in cset)
         if cmask not in indep:
@@ -149,8 +150,13 @@ def first_minor_witness(m, target):
             if sizes == t_sizes and brute_isomorphic(
                 q, add, mul, contract_columns_oracle(q, add, mul, cols, cset, keep), t_cols
             ):
-                return (frozenset(m.labels[j] for j in dset), frozenset(m.labels[j] for j in cset))
-    return None
+                yield (frozenset(m.labels[j] for j in dset), frozenset(m.labels[j] for j in cset))
+                break
+
+
+def first_minor_witness(m, target):
+    """The first pair of `minor_witnesses`, or None."""
+    return next(minor_witnesses(m, target), None)
 
 
 def brute_minor(m, target) -> bool:

@@ -328,6 +328,17 @@ def test_shatter_exact_and_sampled(capsys):
     assert (rep0["mode"], rep0["subsets_checked"]) == ("sampled", 0)
 
 
+@pytest.mark.parametrize("instance", ["gen:u_3_3@gf5", "gen:u_3_3@gf251"])
+def test_shatter_of_an_empty_family_is_zero_after_one_subset(capsys, instance):
+    # a free matroid has no non-basis element, so its family is empty and
+    # every trace count is 0; over GF(251) exact mode would need C(750, 3)
+    # subsets, over SHATTER_LIMIT, and still answers
+    code, rep = run_json(capsys, "shatter", instance, "--m", "3")
+    assert code == 0, rep
+    assert rep["family_size"] == 0
+    assert (rep["mode"], rep["value"], rep["exact"], rep["subsets_checked"]) == ("exact", 0, True, 1)
+
+
 def test_separation_report(capsys):
     code, rep = run_json(capsys, "separation", "gen:mk5_dual")
     assert code == 0

@@ -45,7 +45,7 @@ from gfmatroids.matroid import (
 
 from oracles import (
     brute_minor, edge_connectivity_oracle, first_minor_witness, graph_girth_oracle,
-    independent_masks_oracle,
+    independent_masks_oracle, minor_witnesses,
 )
 
 F2 = field_from_order(2)
@@ -539,7 +539,6 @@ def test_has_minor_witness_is_the_same_on_a_cached_and_a_fresh_target(m, build):
     # the target's screens are cached by value: an equal target built anew
     # reads them from the cache and gets the same first witness
     matroid._target_screens.cache_clear()
-    matroid._weight_counts.cache_clear()
     cached = build()
     first = has_minor(m, cached)
     assert first is not None
@@ -548,9 +547,6 @@ def test_has_minor_witness_is_the_same_on_a_cached_and_a_fresh_target(m, build):
     assert fresh is not cached and fresh == cached
     assert has_minor(m, fresh) == first
     assert matroid._target_screens.cache_info().hits == 1
-    # Petersen has few codewords, so its search also reads the target's weights
-    weights = matroid._weight_counts.cache_info()
-    assert (weights.misses, weights.hits) == ((1, 1) if m.field.q == 2 else (0, 0))
 
 
 @pytest.mark.parametrize("m, target, codewords", [
@@ -569,13 +565,13 @@ def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, 
     def counted(name):
         real = getattr(matroid, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(matroid, name, spy)
 
-    for name in ("_independent_masks", "_element_masks", "_codeword_supports"):
+    for name in ("_independent_masks", "_element_masks", "_codeword_supports", "minor"):
         counted(name)
     real_sets = matroid._contract_sets
 
@@ -587,6 +583,8 @@ def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, 
     monkeypatch.setattr(matroid, "_contract_sets", counted_sets)
     assert has_minor(m, target) == expected
     assert calls["_codeword_supports"] == codewords
+    # the walk hands over m/C's columns: no contraction is rebuilt
+    assert calls["minor"] == 0, calls
     # a witness is matched on its walk's masks; against M(K5)* the weight
     # screen rejects every candidate of Petersen before any walk, and the
     # absent M(K4) of gf3_11 walks 13 contract sets
@@ -718,6 +716,62 @@ def test_has_minor_first_witness_matches_the_brute_force_oracle(q):
             outcomes[name, expected is not None] += 1
     assert {found for _, found in outcomes} == {True, False}
     assert outcomes["free", True] >= 2  # U_{3,3} is a minor of U_{n,n} for n >= 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_contract_set_walk_keeps_every_contract_set_with_a_witness(q):
+    # the walk's prefix bound only drops contract sets C for which no
+    # deletion set D makes (m/C)\D the target: every C with a witness in
+    # the oracle is yielded, whether or not m's codewords are listed
+    f = field_from_order(q)
+    rng = random.Random(2600 + q)
+    sides = Counter()
+    for t, (name, target) in enumerate(_first_witness_targets(f).items()):
+        g, t_count = girth(target), len(_Profile.of(target).indep)
+        for i in range(4):
+            n = rng.randint(target.size + 1, 10 if q < 4 else 9)
+            r = rng.randint(target.rank, min(n - 1, target.rank + 2))
+            m = random_matroid(r, n, f, seed=26000 + 100 * q + 10 * t + i)
+            r_diff = m.rank - target.rank
+            d_count = n - r_diff - target.size
+            listed = (q ** (n - m.rank) - 1) // (q - 1) <= t_count  # has_minor's rule
+            supports = _codeword_supports(m) if listed else None
+            walked = {c for c, _, _ in matroid._contract_sets(m, r_diff, g, d_count, supports)}
+            witnessed = {sum(1 << j for j in m.indices_of(c)) for _, c in minor_witnesses(m, target)}
+            assert witnessed <= walked, (name, i)
+            sides[listed, bool(witnessed)] += 1
+    assert set(sides) == {(False, False), (False, True), (True, False), (True, True)}, sides
+
+
+# the graphs of the graphic `_first_witness_targets`: K4 (self-dual, so for
+# M(K4)* too), a triangle with a doubled side, a triangle with a loop, a
+# path of three edges and three parallel edges
+_TARGET_GRAPHS = {
+    "mk4": (4, list(combinations(range(4), 2))),
+    "mk4_dual": (4, list(combinations(range(4), 2))),
+    "parallel": (3, [(0, 1), (1, 2), (0, 2), (0, 1)]),
+    "loop": (3, [(0, 1), (1, 2), (0, 2), (0, 0)]),
+    "free": (4, [(0, 1), (1, 2), (2, 3)]),
+    "mk3_dual": (2, [(0, 1)] * 3),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_target_record_reads_the_girth_as_the_least_weight(q):
+    # Greene's theorem: a set smaller than every circuit counts 0 and a
+    # circuit counts q - 1, so the least weight is the girth, also over a
+    # field that does not represent the target
+    f = field_from_order(q)
+    targets = _first_witness_targets(f)
+    if q == 2:
+        targets["u24@gf3"] = uniform(2, 4, F3)
+    for name, target in targets.items():
+        g = matroid._target_screens(target, q)[3]
+        assert g == min(_weight_counts(target, q), default=math.inf) == girth(target), name
+        if name in _TARGET_GRAPHS:
+            assert g == graph_girth_oracle(*_TARGET_GRAPHS[name]), name
+    assert _weight_counts(targets["free"], q) == {}
+    assert matroid._target_screens(targets["free"], q)[3] == math.inf
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
