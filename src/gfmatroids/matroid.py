@@ -23,8 +23,10 @@ deletion's independent sets are its parent's that miss the deleted
 elements, so the minor search walks a contraction m/C at most once,
 builds per-element masks over its independent sets with the walk, and
 reads the count and profile of every candidate (m/C)\\D from those masks.
-The target's girth g bounds that search: D must meet every circuit of
-m/C with fewer than g elements.  So the walk over contract sets drops a
+The target is walked once too: its profile's independent sets give the
+rank table behind its codeword weight counts, whose least weight is its
+girth g.  The girth bounds the search: D must meet every circuit of m/C
+with fewer than g elements.  So the walk over contract sets drops a
 prefix, with every set that extends it, once the prefix's short circuits
 need more deletions than D has, and D is drawn among their hitting sets.
 
@@ -35,7 +37,6 @@ deterministic: the first witness in canonical enumeration order wins.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import random
@@ -281,8 +282,7 @@ def _independent_masks(kern: _Kernel, cols: Sequence, r: int) -> list[int]:
                     out.extend(child | 1 << k
                                for k, c in enumerate(red[j + 1 - start:], j + 1) if c and c != p)
 
-    if r:
-        rec(cols, 0, 0, 0)
+    rec(cols, 0, 0, 0)
     return out
 
 
@@ -291,8 +291,14 @@ def rank_table(m: RepMatroid) -> list[int]:
     n = m.size
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"rank_table limited to {ENUMERATION_LIMIT} elements (|E| = {n})")
+    return _rank_table(_independent_masks(m._kernel, m._packed(), m.rank), n)
+
+
+def _rank_table(indep: Iterable[int], n: int) -> list[int]:
+    """Rank of every subset of n elements, from the independent sets as
+    bitmasks, in any order."""
     table = [0] * (1 << n)
-    for s in _independent_masks(m._kernel, m._packed(), m.rank):
+    for s in indep:
         table[s] = s.bit_count()
     # subset-max sweep, one element at a time: the rank of a set is the size
     # of the largest independent set inside it
@@ -524,14 +530,9 @@ class _Profile:
     deletion's profile comes from its parent's sets by one mask test each.
     """
 
-    def __init__(self, indep: Sequence[int], bits: Sequence[int],
-                 elem: Optional[list[int]] = None, bases: Optional[int] = None):
-        # elem (per bit) and bases are masks over some numbering of the
-        # sets; by default, the position in indep
+    def __init__(self, indep: Sequence[int], bits: Sequence[int], elem: list[int], bases: int):
+        # elem (per bit) and bases are masks over one numbering of the sets
         r = max(map(int.bit_count, indep))
-        if elem is None:
-            elem = _element_masks(indep, bits)
-            bases = _size_mask(indep, r)
         self.n, self.rank, self.n_bases, self.bits = len(bits), r, bases.bit_count(), bits
         self.indep = set(indep)
         self.pair = [[(a & b).bit_count() for b in elem] for a in elem]
@@ -542,7 +543,10 @@ class _Profile:
 
     @classmethod
     def of(cls, m: RepMatroid) -> _Profile:
-        return cls(_independent_masks(m._kernel, m._packed(), m.rank), [1 << j for j in range(m.size)])
+        # the masks number the sets by their position in the walk
+        indep = _independent_masks(m._kernel, m._packed(), m.rank)
+        bits = [1 << j for j in range(m.size)]
+        return cls(indep, bits, _element_masks(indep, bits), _size_mask(indep, m.rank))
 
 
 def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
@@ -638,19 +642,19 @@ def _codeword_supports(m: RepMatroid) -> list[int]:
     return out
 
 
-def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
+def _weight_counts(ranks: Sequence[int], q: int) -> dict[int, int]:
     """{weight: count} of the 1-dimensional subspaces of the cycle space of
-    any GF(q) representation of m, from its rank function alone.
+    any GF(q) representation of a matroid, from its rank table alone.
 
     The cycle-space vectors with support inside T number q^(|T| - r(T));
     inclusion-exclusion over the subsets of each support leaves those of
-    exact weight w (Greene's theorem).  The counts depend on q, not on m's
-    own field, and the least weight is m's girth: a set smaller than every
+    exact weight w (Greene's theorem).  The counts depend on q, not on the
+    matroid's own field, and the least weight is its girth: a set smaller than every
     circuit counts 0, and a circuit counts q - 1.
     """
-    n = m.size
+    n = len(ranks).bit_length() - 1
     by_size = [0] * (n + 1)  # sum of q^(|T| - r(T)) over the T of each size
-    for t, r in enumerate(rank_table(m)):
+    for t, r in enumerate(ranks):
         k = t.bit_count()
         by_size[k] += q ** (k - r)
     counts = {}
@@ -662,12 +666,14 @@ def _weight_counts(m: RepMatroid, q: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _target_screens(target: RepMatroid, q: int) -> tuple[_Profile, int, dict[int, int], float]:
-    """The target's side of every minor screen over GF(q): its isomorphism
-    profile, loop count, codeword weight counts and girth, the least weight
-    (math.inf when free).  Cached, as the same targets recur."""
-    counts = _weight_counts(target, q)
-    return _Profile.of(target), target._packed().count(0), counts, min(counts, default=math.inf)
+def _target_screens(target: RepMatroid, q: int) -> tuple[_Profile, dict[int, int], float]:
+    """The target's side of every minor screen over GF(q), from one walk of
+    its independent sets: its isomorphism profile, the codeword weight
+    counts of the rank table those sets give, and its girth, the least
+    weight (math.inf when free).  Cached, as the same targets recur."""
+    profile = _Profile.of(target)
+    counts = _weight_counts(_rank_table(profile.indep, target.size), q)
+    return profile, counts, min(counts, default=math.inf)
 
 
 def _forced_deletions(red: list, depth: int, g: float, words: list[int]) -> int:
@@ -757,15 +763,12 @@ def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[i
 
 def _hitting_sets(n: int, k: int, sets: Iterable[int]):
     """Yield (indices, mask) for the k-subsets of range(n) that meet every
-    mask in `sets`, in itertools.combinations order.  A subset's elements
-    are chosen in increasing order: an element past the last bit of a set
-    not yet met would leave it unmet, and the last element must lie in
-    every set not yet met."""
+    mask in `sets`, in itertools.combinations order: with no mask to meet,
+    every k-subset, the empty one for k = 0.  A subset's elements are
+    chosen in increasing order: an element past the last bit of a set not
+    yet met would leave it unmet, and the last element must lie in every
+    set not yet met."""
     sets = list(sets)
-    if not sets:
-        for c in itertools.combinations(range(n), k):
-            yield c, sum(1 << j for j in c)
-        return
 
     def rec(start: int, need: int, chosen: tuple[int, ...], mask: int, unmet: list[int]):
         if need == 1:
@@ -783,6 +786,8 @@ def _hitting_sets(n: int, k: int, sets: Iterable[int]):
 
     if k:
         yield from rec(0, k, (), 0, sets)
+    elif not sets:
+        yield (), 0
 
 
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
@@ -808,9 +813,9 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       of m/C's columns up to size g - 1 lists, loops and parallel pairs
       first.
 
-    A candidate is a deletion of m/C, so its loops and independent sets
-    are those of m/C that miss D, read by one mask test each.  It must pass
-    cheap screens before the full isomorphism test:
+    A candidate is a deletion of m/C, so its independent sets are those of
+    m/C that miss D, read by one mask test each.  It must pass cheap
+    screens before the full isomorphism test:
 
     - Codeword weights, when m's cycle space has at most as many
       1-dimensional subspaces as the target has independent sets (then
@@ -820,19 +825,16 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
       E - C - D, so bitmask tests give the candidate's weight counts before
       m/C is walked.  They must equal the target's over m's field, which
       the target's rank function gives, whatever its own field.
-    - Loop count, from the mask of m/C's zero columns: the one screen
-      before the walk.  When g >= 2 the hitting sets already delete every
-      loop of m/C, so it always passes; a target of girth 1 puts no
-      condition on D, and there it keeps the D that leave the wrong number
-      of loops from the walk and the count.  Parallel classes need no
-      screen of their own: the profile match decides them exactly.
     - The number of independent sets, from per-element masks over the sets
       of a walk of m/C, which also give the candidate's isomorphism
       profile.  The first candidate of C to get here walks m/C, once, and
       builds the masks with the walk.
 
-    The target's side of each screen, its girth included, is built once
-    per target and field and cached.
+    Loops and parallel classes need no screen of their own: when g >= 2
+    the hitting sets delete every loop of m/C, and the profile match
+    decides the rest exactly, as a loop lies in no independent set.
+    The target's side of each screen, its girth included, comes from one
+    walk of the target, once per target and field, and is cached.
     Screens and bounds only reject, so the witness is the first in
     canonical order.
     """
@@ -847,7 +849,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     d_count = n - r_diff - target.size
     if r_diff < 0 or d_count < 0:
         return None
-    t_profile, t_loops, t_counts, g = _target_screens(target, q)
+    t_profile, t_counts, g = _target_screens(target, q)
     t_count = len(t_profile.indep)
     supports = None
     if (q ** (n - m.rank) - 1) // (q - 1) <= t_count:
@@ -858,7 +860,7 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     for cmask, red, words in _contract_sets(m, r_diff, g, d_count, supports):
         rest = [j for j in range(n) if not cmask >> j & 1]  # m/C's elements, in m's indices
         cols = [red[j] for j in rest]  # m/C's columns
-        checks = loops = family = None
+        checks = family = None
         # the short circuits of m/C, as masks over its elements
         if supports is None:
             short = _short_dependent_sets(m._kernel, cols, g - 1)
@@ -883,10 +885,6 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
                     gone |= rest_hits[j]
                 if any((group & ~gone).bit_count() != c for group, c in checks):
                     continue
-            if loops is None:
-                loops = sum(1 << k for k, c in enumerate(cols) if not c)
-            if (loops & ~dmask).bit_count() != t_loops:
-                continue
             if family is None:
                 # the first candidate of C to get here walks m/C, once, and
                 # builds per-element masks over the walk's sets

@@ -39,8 +39,8 @@ from gfmatroids import (
 from gfmatroids import matroid
 from gfmatroids.generators import Graph
 from gfmatroids.matroid import (
-    _Profile, _codeword_supports, _element_masks, _independent_masks, _match_profiles,
-    _short_dependent_sets, _size_mask, _weight_counts,
+    _Profile, _codeword_supports, _element_masks, _hitting_sets, _independent_masks,
+    _match_profiles, _short_dependent_sets, _size_mask, _weight_counts,
 )
 
 from oracles import (
@@ -418,7 +418,10 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
         dmask = sum(1 << j for j, l in enumerate(base.labels) if l in dset)
         family = _independent_masks(base._kernel, base._packed(), base.rank)
         kept = [j for j, l in enumerate(base.labels) if l not in dset]
-        filtered = _Profile([s for s in family if not s & dmask], [1 << j for j in kept])
+        sets, bits = [s for s in family if not s & dmask], [1 << j for j in kept]
+        # numbered by their place among the sets that miss D
+        filtered = _Profile(sets, bits, _element_masks(sets, bits),
+                            _size_mask(sets, max(map(int.bit_count, sets))))
         cand = minor(m, delete=dset, contract=cset)
         elem = _element_masks(family, [1 << j for j in range(base.size)])
         gone = 0
@@ -427,8 +430,7 @@ def test_filtered_profile_agrees_with_the_minor_built_outright(q):
                 gone |= elem[j]
         keep = ~gone & (1 << len(family)) - 1
         # has_minor counts bases at the target's rank, which a match has
-        masked = _Profile([s for s in family if not s & dmask], [1 << j for j in kept],
-                          [elem[j] & keep for j in kept], _size_mask(family, cand.rank) & keep)
+        masked = _Profile(sets, bits, [elem[j] & keep for j in kept], _size_mask(family, cand.rank) & keep)
         built = _Profile.of(cand)
         for p in (filtered, masked):
             assert (p.n, p.rank, p.n_bases, len(p.indep)) == (
@@ -559,7 +561,7 @@ def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, 
     # one count-and-profile path: the first candidate of a contract set C
     # to reach the count walks m/C and builds the per-element masks with
     # the walk; every candidate of C then reads those masks
-    expected = has_minor(m, target)  # caches the target's screens, which walk the target
+    expected = has_minor(m, target)  # caches the target's record, so its one walk is not counted below
     calls = Counter()
 
     def counted(name):
@@ -593,6 +595,25 @@ def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, 
     assert calls["_element_masks"] == calls["_independent_masks"] + codewords, calls
 
 
+def test_hitting_sets_are_the_combinations_that_meet_every_set():
+    # the (indices, mask) sequence of itertools.combinations(range(n), k),
+    # filtered by "meets every set", in the same order, on seeded families
+    # over n <= 10: empty ones, k = 0 and k > n included
+    rng = random.Random(2700)
+    cases = Counter()
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        k = rng.randint(0, n + 1)
+        sets = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.choice((0, 0, 1, 2, 4, 6)))]
+        subsets = list(combinations(range(n), k))
+        expected = [(c, sum(1 << j for j in c)) for c in subsets
+                    if all(any(s >> j & 1 for j in c) for s in sets)]
+        assert list(_hitting_sets(n, k, sets)) == expected, (n, k, sets)
+        cases["empty family" if not sets else "k = 0" if not k else "k > n" if k > n
+              else "none meets" if subsets and not expected else "some meet"] += 1
+    assert min(cases.values()) >= 5 and len(cases) == 5, cases
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_codeword_supports_match_brute_force(q):
     from oracles import field_ops_oracle
@@ -618,7 +639,7 @@ def test_codeword_supports_match_brute_force(q):
         assert sorted(_codeword_supports(m)) == sorted(supports), r
         weights = [s.bit_count() for s in supports]
         assert girth(m) == min(weights, default=math.inf)
-        assert _weight_counts(m, q) == Counter(weights)
+        assert _weight_counts(rank_table(m), q) == Counter(weights)
 
 
 def test_weight_counts_depend_only_on_the_matroid_and_q():
@@ -627,7 +648,8 @@ def test_weight_counts_depend_only_on_the_matroid_and_q():
         for q in (2, 3, 4):
             listed = Counter(s.bit_count() for s in _codeword_supports(clique(t, field_from_order(q))))
             for other in (2, 3, 4):
-                assert _weight_counts(clique(t, field_from_order(other)), q) == listed, (t, q, other)
+                ranks = rank_table(clique(t, field_from_order(other)))
+                assert _weight_counts(ranks, q) == listed, (t, q, other)
 
 
 def test_has_minor_witness_is_sound():
@@ -674,11 +696,12 @@ def _with_column(m, col, label):
 
 
 def _first_witness_targets(f):
-    """M(K4), M(K4)*, U_{2,4} and U_{3,5} where GF(q) represents them, three
-    targets of girth at most 2: a triangle with one side doubled and a
-    triangle with a loop, where no girth bound applies, and M(K3)* = U_{1,3},
-    one parallel class of three, of girth 2; and the free U_{3,3}, which has
-    no circuit at all."""
+    """M(K4), M(K4)*, U_{2,4} and U_{3,5} where GF(q) represents them, four
+    targets of girth at most 2: a triangle with one side doubled and
+    triangles with one and with two loops, where no girth bound applies
+    and the profile match alone rejects a wrong number of loops, and
+    M(K3)* = U_{1,3}, one parallel class of three, of girth 2; and the free
+    U_{3,3}, which has no circuit at all."""
     triangle = uniform(2, 3, f)
     targets = {"mk4": clique(4, f), "mk4_dual": dual(clique(4, f))}
     if f.q >= 3:
@@ -689,6 +712,7 @@ def _first_witness_targets(f):
     targets["loop"] = _with_column(triangle, (0, 0), "z")
     targets["free"] = uniform(3, 3, f)
     targets["mk3_dual"] = clique(3, f, dualize=True)
+    targets["loops"] = _with_column(targets["loop"], (0, 0), "y")
     return targets
 
 
@@ -744,8 +768,8 @@ def test_contract_set_walk_keeps_every_contract_set_with_a_witness(q):
 
 
 # the graphs of the graphic `_first_witness_targets`: K4 (self-dual, so for
-# M(K4)* too), a triangle with a doubled side, a triangle with a loop, a
-# path of three edges and three parallel edges
+# M(K4)* too), a triangle with a doubled side, triangles with one and with
+# two loops, a path of three edges and three parallel edges
 _TARGET_GRAPHS = {
     "mk4": (4, list(combinations(range(4), 2))),
     "mk4_dual": (4, list(combinations(range(4), 2))),
@@ -753,6 +777,7 @@ _TARGET_GRAPHS = {
     "loop": (3, [(0, 1), (1, 2), (0, 2), (0, 0)]),
     "free": (4, [(0, 1), (1, 2), (2, 3)]),
     "mk3_dual": (2, [(0, 1)] * 3),
+    "loops": (3, [(0, 1), (1, 2), (0, 2), (0, 0), (0, 0)]),
 }
 
 
@@ -766,12 +791,31 @@ def test_target_record_reads_the_girth_as_the_least_weight(q):
     if q == 2:
         targets["u24@gf3"] = uniform(2, 4, F3)
     for name, target in targets.items():
-        g = matroid._target_screens(target, q)[3]
-        assert g == min(_weight_counts(target, q), default=math.inf) == girth(target), name
+        g = matroid._target_screens(target, q)[2]
+        assert g == min(_weight_counts(rank_table(target), q), default=math.inf) == girth(target), name
         if name in _TARGET_GRAPHS:
             assert g == graph_girth_oracle(*_TARGET_GRAPHS[name]), name
-    assert _weight_counts(targets["free"], q) == {}
-    assert matroid._target_screens(targets["free"], q)[3] == math.inf
+    assert _weight_counts(rank_table(targets["free"]), q) == {}
+    assert matroid._target_screens(targets["free"], q)[2] == math.inf
+
+
+@pytest.mark.parametrize("target, q", [
+    (clique(5, F2), 2),
+    (clique(5, F2, dualize=True), 2),
+    (_first_witness_targets(F2)["loop"], 2),
+    (uniform(2, 4, F3), 2),
+], ids=["mk5", "mk5_dual", "loop", "u24@gf3-q2"])
+def test_target_record_walks_its_target_once(monkeypatch, target, q):
+    # the profile's independent sets also give the rank table behind the
+    # weight counts, so a record walks its target's independent sets once
+    walks = []
+    real = matroid._independent_masks
+    monkeypatch.setattr(matroid, "_independent_masks", lambda *args: walks.append(args) or real(*args))
+    matroid._target_screens.cache_clear()
+    profile, counts, g = matroid._target_screens(target, q)
+    assert len(walks) == 1
+    assert counts == _weight_counts(rank_table(target), q) and g == girth(target)
+    assert profile.indep == set(real(target._kernel, target._packed(), target.rank))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
