@@ -29,6 +29,13 @@ girth g.  The girth bounds the search: D must meet every circuit of m/C
 with fewer than g elements.  So the walk over contract sets drops a
 prefix, with every set that extends it, once the prefix's short circuits
 need more deletions than D has, and D is drawn among their hitting sets.
+A target is a minor of m exactly when its dual is a minor of m*, with
+delete and contract swapped, and the two searches prune differently.
+When the search on m deletes at least one element and the dual side
+walks fewer contract sets, `has_minor` searches (m*, target*) first:
+an absent answer there is final, and a found one hands over to the
+search on m, whose first witness is returned.  Each matroid computes its
+dual once and keeps it.
 
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
@@ -87,6 +94,7 @@ class RepMatroid:
         self._kernel = _kernel(field)
         self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
+        self._dual_cache: Optional[RepMatroid] = None
 
     @property
     def size(self) -> int:
@@ -390,7 +398,13 @@ def sample_bases(m: RepMatroid, count: int, seed: int) -> list[tuple[str, ...]]:
 
 
 def dual(m: RepMatroid) -> RepMatroid:
-    """The dual matroid, via [-A^T | I] over the lexicographically first basis."""
+    """The dual matroid, via [-A^T | I] over the lexicographically first basis.
+
+    Computed once per matroid and cached on it.  The cache points forward
+    only: the dual's own dual is computed afresh, as its matrix differs
+    from m's."""
+    if m._dual_cache is not None:
+        return m._dual_cache
     sf = _canonical_standard_form(m.matrix, m.labels)
     nb = len(sf.nonbasis_order)
     neg = m.field.neg
@@ -400,7 +414,8 @@ def dual(m: RepMatroid) -> RepMatroid:
     for j, e in enumerate(sf.nonbasis_order):
         col_map[e] = tuple(1 if i == j else 0 for i in range(nb))
     cols = [col_map[l] for l in m.labels]
-    return RepMatroid(m.field, GFMatrix.from_cols(m.field, cols, nb), m.labels)
+    m._dual_cache = RepMatroid(m.field, GFMatrix.from_cols(m.field, cols, nb), m.labels)
+    return m._dual_cache
 
 
 def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = ()) -> RepMatroid:
@@ -793,6 +808,41 @@ def _hitting_sets(n: int, k: int, sets: Iterable[int]):
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """Exhaustive minor search; returns (delete, contract) labels or None.
 
+    The witness is the first in the canonical order of `_minor_search` on
+    m itself, which makes r_diff = r(m) - r(target) contractions and
+    d = n - r_diff - |target| deletions, n = |E(m)|.  The target is a
+    minor of m exactly when its dual is a minor of m*, with delete and
+    contract swapped: (m/C)\\D is isomorphic to the target if and only if
+    (m*\\C)/D is isomorphic to its dual.  So the search on (m*, target*),
+    which contracts d elements, decides the same question; it runs first
+    exactly when 0 < d and C(n, d) < C(n, r_diff), as it then walks fewer
+    contract sets.  If it finds no witness, the answer is None; if it
+    finds one, the search on m runs for the canonical witness, so no
+    answer depends on the side that decided.  At d = 0 the direct side is
+    already at its strongest bound: any short circuit of m/P leaves no
+    deletion to meet it, so the walk drops the prefix P.
+    """
+    if m.size > ENUMERATION_LIMIT:
+        raise TooLargeError(f"minor search limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})")
+    if target.size > MINOR_TARGET_LIMIT:
+        raise TooLargeError(
+            f"minor search limited to {MINOR_TARGET_LIMIT}-element targets (|E| = {target.size})"
+        )
+    n = m.size
+    r_diff = m.rank - target.rank
+    d_count = n - r_diff - target.size
+    if r_diff < 0 or d_count < 0:
+        return None
+    if 0 < d_count and math.comb(n, d_count) < math.comb(n, r_diff):
+        if _minor_search(dual(m), dual(target)) is None:
+            return None
+    return _minor_search(m, target)
+
+
+def _minor_search(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """The first (delete, contract) witness of the target in m in canonical
+    order, or None; has_minor's guards hold.
+
     Only independent contract sets C of size rank(m) - rank(target) are
     enumerated (every minor admits such a presentation), with deletion
     sets D of the size left over.  Both are bounded by the target's girth
@@ -838,17 +888,9 @@ def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str
     Screens and bounds only reject, so the witness is the first in
     canonical order.
     """
-    if m.size > ENUMERATION_LIMIT:
-        raise TooLargeError(f"minor search limited to {ENUMERATION_LIMIT} elements (|E| = {m.size})")
-    if target.size > MINOR_TARGET_LIMIT:
-        raise TooLargeError(
-            f"minor search limited to {MINOR_TARGET_LIMIT}-element targets (|E| = {target.size})"
-        )
     n, q = m.size, m.field.q
     r_diff = m.rank - target.rank
     d_count = n - r_diff - target.size
-    if r_diff < 0 or d_count < 0:
-        return None
     t_profile, t_counts, g = _target_screens(target, q)
     t_count = len(t_profile.indep)
     supports = None

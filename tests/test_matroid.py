@@ -144,6 +144,28 @@ def test_dual_u24_selfdual():
     assert is_isomorphic(dual(u), u)
 
 
+def test_dual_is_eliminated_once_per_matroid(monkeypatch):
+    # the cosimple check, the codeword listing and the dual side of the minor
+    # search share one elimination; the dual's own dual is computed afresh,
+    # as its matrix is not m's
+    target = clique(4, F3)
+    dual(target)
+    eliminations = []
+    real = matroid._canonical_standard_form
+    monkeypatch.setattr(matroid, "_canonical_standard_form", lambda *args: eliminations.append(args) or real(*args))
+    m = random_matroid(5, 9, F3, seed=17)
+    d = dual(m)
+    cosimple_certificate(m)
+    _codeword_supports(m)
+    assert dual(m) is d and len(eliminations) == 1
+    dd = dual(d)
+    assert len(eliminations) == 2 and dd is not m and dd.matrix != m.matrix
+    assert rank_table(dd) == rank_table(m)
+    hosts = _spy_sides(monkeypatch)
+    has_minor(m, target)
+    assert _sides(hosts, m)[0] == "dual" and len(eliminations) == 2
+
+
 def test_minor_contract_basis_element():
     mk4 = clique(4, F2)
     m = minor(mk4, contract=["0-1"])
@@ -551,17 +573,36 @@ def test_has_minor_witness_is_the_same_on_a_cached_and_a_fresh_target(m, build):
     assert matroid._target_screens.cache_info().hits == 1
 
 
-@pytest.mark.parametrize("m, target, codewords", [
-    (_PETERSEN, clique(5, F2), True),
-    (_PETERSEN, clique(5, F2, dualize=True), True),
-    (projective_geometry(3, F3), clique(4, F3), False),
-    (random_matroid(6, 11, F3, seed=14), clique(4, F3), False),
+def _spy_sides(monkeypatch):
+    """Patch matroid._minor_search to log the host of each search that
+    has_minor runs; `_sides` names them."""
+    hosts = []
+    real = matroid._minor_search
+    monkeypatch.setattr(matroid, "_minor_search", lambda host, target: hosts.append(host) or real(host, target))
+    return hosts
+
+
+def _sides(hosts, m):
+    """"direct" for a search on m itself, "dual" for one on dual(m)."""
+    assert all(h is m or h is dual(m) for h in hosts)
+    return ["direct" if h is m else "dual" for h in hosts]
+
+
+@pytest.mark.parametrize("m, target, sides, codewords", [
+    (_PETERSEN, clique(5, F2), ["direct"], True),
+    (_PETERSEN, clique(5, F2, dualize=True), ["dual"], False),
+    (projective_geometry(3, F3), clique(4, F3), ["direct"], False),
+    (random_matroid(6, 11, F3, seed=14), clique(4, F3), ["dual"], False),
 ], ids=["petersen-mk5", "petersen-mk5dual", "pg_2_3-mk4", "gf3_11-mk4"])
-def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, codewords):
+def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, sides, codewords):
     # one count-and-profile path: the first candidate of a contract set C
     # to reach the count walks m/C and builds the per-element masks with
-    # the walk; every candidate of C then reads those masks
-    expected = has_minor(m, target)  # caches the target's record, so its one walk is not counted below
+    # the walk; every candidate of C then reads those masks.  `sides` are
+    # the searches has_minor runs, and `codewords` whether they list the
+    # codewords of their host: dual(Petersen) has 511, more than the 291
+    # independent sets of M(K5), the dual side's target
+    expected = has_minor(m, target)  # caches the targets' records, so their walks are not counted below
+    hosts = _spy_sides(monkeypatch)
     calls = Counter()
 
     def counted(name):
@@ -584,15 +625,73 @@ def test_has_minor_walks_each_contract_set_at_most_once(monkeypatch, m, target, 
 
     monkeypatch.setattr(matroid, "_contract_sets", counted_sets)
     assert has_minor(m, target) == expected
+    assert _sides(hosts, m) == sides
     assert calls["_codeword_supports"] == codewords
     # the walk hands over m/C's columns: no contraction is rebuilt
     assert calls["minor"] == 0, calls
-    # a witness is matched on its walk's masks; against M(K5)* the weight
-    # screen rejects every candidate of Petersen before any walk, and the
-    # absent M(K4) of gf3_11 walks 13 contract sets
+    # a witness is matched on its walk's masks; the dual side's walk
+    # yields no contract set of dual(Petersen) against M(K5)*, and walks
+    # 14 of dual(gf3_11) against M(K4)
     assert (expected is not None) <= calls["_independent_masks"] <= calls["contract sets"], calls
     # with the codewords listed, one more call builds their per-element masks
     assert calls["_element_masks"] == calls["_independent_masks"] + codewords, calls
+
+
+def test_has_minor_decides_petersen_gf5_against_mk5_dual_on_the_dual_side(monkeypatch):
+    # Petersen has 15 elements and rank 9, M(K5)* has 10 and rank 6: the
+    # direct side contracts 3 elements and deletes 2, so the dual side, which
+    # contracts 2, walks at most C(15, 2) = 105 contract sets, where the
+    # direct walk yields 455 and walks m/C for most of them
+    m = graphic(named_graph("petersen"), F5)
+    target = clique(5, F5, dualize=True)
+    hosts = _spy_sides(monkeypatch)
+    real_sets = matroid._contract_sets
+    walked = []
+
+    def counted_sets(*args):
+        for item in real_sets(*args):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(matroid, "_contract_sets", counted_sets)
+    assert has_minor(m, target) is None
+    assert _sides(hosts, m) == ["dual"]
+    assert len(walked) <= math.comb(15, 2)
+    g = matroid._target_screens(target, 5)[2]
+    assert sum(1 for _ in real_sets(m, 3, g, 2, None)) == 455
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_has_minor_agrees_with_the_search_on_the_dual_side(monkeypatch, q):
+    # N is a minor of m exactly when N* is a minor of m*: the search on
+    # (m*, N*) gives has_minor's found or absent answer, and has_minor's
+    # witness is the oracle's first in canonical order, whichever side ran
+    # first, on seeded matroids of at most 12 elements: per target, hosts
+    # with r_diff >= 2 contractions and d = 0, 1 and r_diff - 1 deletions,
+    # and three more drawn at random; the oracle lists independent sets by
+    # spans, so r_diff stays small
+    f = field_from_order(q)
+    rng = random.Random(2800 + q)
+    search = matroid._minor_search
+    hosts = _spy_sides(monkeypatch)
+    branches = Counter()
+    for t, (name, target) in enumerate(_first_witness_targets(f).items()):
+        for i in range(6):
+            r_diff = rng.randint(2 if i < 3 else 0, 3 if q < 4 else 2)
+            d_count = (0, 1, r_diff - 1)[i] if i < 3 else rng.randint(1, 12 - target.size - r_diff)
+            n = target.size + r_diff + d_count
+            m = random_matroid(target.rank + r_diff, n, f, seed=28000 + 100 * q + 10 * t + i)
+            hosts.clear()
+            found = has_minor(m, target)
+            assert (found is None) == (search(dual(m), dual(target)) is None), (name, i)
+            assert found == first_minor_witness(m, target), (name, i)
+            dual_first = 0 < d_count and math.comb(n, d_count) < math.comb(n, r_diff)
+            sides = ["dual"] + ["direct"] * (found is not None) if dual_first else ["direct"]
+            assert _sides(hosts, m) == sides, (name, i)
+            branches["d = 0" if d_count == 0 else tuple(sides), found is not None] += 1
+    # the dual side proves absent, finds and hands over, and d = 0 stays direct
+    assert branches[("dual",), False] and branches[("dual", "direct"), True], branches
+    assert branches["d = 0", True] and branches["d = 0", False], branches
 
 
 def test_hitting_sets_are_the_combinations_that_meet_every_set():
