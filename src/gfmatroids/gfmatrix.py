@@ -62,6 +62,14 @@ class GFMatrix:
         return cls(field, [(0,) * cols] * rows, cols)
 
     @classmethod
+    def _of_rows(cls, field: FieldSpec, rows: tuple[tuple[int, ...], ...], cols: int) -> "GFMatrix":
+        """A matrix on rows that are already valid: a tuple of `cols`-entry
+        tuples of element codes of `field`.  Nothing is checked or copied."""
+        m = object.__new__(cls)
+        m.field, m._rows, m.cols = field, rows, cols
+        return m
+
+    @classmethod
     def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence[int]], rows: int) -> "GFMatrix":
         return cls(field, cols, rows).transpose()
 
@@ -167,11 +175,12 @@ def _read_standard_form(field: FieldSpec, labels: Sequence[str], rows: list,
                         piv: dict[int, int]) -> StandardForm:
     """The [I | A] of rows eliminated by `_gauss_jordan` with pivots `piv`:
     the pivot columns, in pivot order, are the basis, and A is the pivot
-    rows at the other columns, in column order."""
+    rows at the other columns, in column order.  The elimination keeps
+    every entry a code of the field, so A is not checked again."""
     rest = [j for j in range(len(labels)) if j not in piv]
-    a = [[rows[r][j] for j in rest] for r in piv.values()]
+    a = tuple(tuple(map(rows[r].__getitem__, rest)) for r in piv.values())
     return StandardForm(field, tuple(labels[j] for j in piv),
-                        tuple(labels[j] for j in rest), GFMatrix(field, a, len(rest)))
+                        tuple(labels[j] for j in rest), GFMatrix._of_rows(field, a, len(rest)))
 
 
 def standard_form(m: GFMatrix, labels: Sequence[str], basis: Iterable[str]) -> StandardForm:

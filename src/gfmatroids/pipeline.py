@@ -11,13 +11,21 @@ A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
 The harness needs only the worst basis: the first in list order whose
-short circuit is largest.  `_worst_basis` walks the list once with two
-upper bounds, as a short circuit is at most any fundamental circuit.  A
-known fundamental circuit of an earlier basis that has one element
-outside a basis is one of that basis's own, so the basis may be passed
-over before its standard form; the smallest fundamental circuit, read
-from A, may spare a reduced basis its pair scan.  `find_short_circuit`
-is its one-basis case.
+short circuit is largest.  `_worst_of` walks a list of bases, as
+bitmasks, once with two upper bounds, as a short circuit is at most any
+fundamental circuit.  A known fundamental circuit C of an earlier basis
+that has one element outside a basis is one of that basis's own, so the
+basis may be passed over before its standard form: the bases that hold
+C - e for some e in C are pruned all at once, by bitsets over list
+positions.  The smallest fundamental circuit, read from A, may spare a
+reduced basis its pair scan.  `_worst_basis` takes bases as labels, and
+`find_short_circuit` is its one-basis case.
+
+`verify_dichotomy` runs its minor searches before the basis pass.  A
+search with r(m) = r(target) contracts nothing, and a walk of the
+independent sets of m that it makes is cached on m; the basis pass then
+reads the bases off it, and otherwise walks the bases alone
+(`matroid._basis_masks`).
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress
-from typing import Iterable, Optional, Sequence
+from operator import and_
+from typing import Callable, Iterable, Optional, Sequence
 
 from .gf import FieldSpec
 from .gfmatrix import standard_form
@@ -36,13 +45,15 @@ from .matroid import (
     NoCircuitError,
     RepMatroid,
     TooLargeError,
-    bases,
+    _basis_masks,
+    _class_ids,
+    _element_masks,
+    _labels_of,
     circuit_of_dependent,
     cosimple_certificate,
     girth,
     has_minor,
     sample_bases,
-    simplify,
 )
 from .setsystem import build_set_system, greedy_delta_packing, separation, sym_diff_size
 from . import generators
@@ -87,46 +98,73 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]
     """(position, short circuit, stats) of the first basis in `basis_list`
     whose short circuit is largest, sizing as few bases as it can.
 
+    A pruned entry is never checked to be a basis, so callers pass lists
+    from `bases` or `sample_bases`; an entry that is sized is checked by
+    `standard_form`, which raises for a dependent, non-spanning or unknown
+    set.  `_worst_of` has the method.
+    """
+    basis_list = [tuple(b) for b in basis_list]
+    # an unknown label gets no bit here; `standard_form` rejects it
+    bit = defaultdict(int, {l: 1 << j for j, l in enumerate(m.labels)})
+    masks = [sum(map(bit.__getitem__, set(b))) for b in basis_list]
+    return _worst_of(m, masks, basis_list.__getitem__)
+
+
+def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], Iterable[str]]
+              ) -> tuple[int, frozenset[str], ShortCircuitStats]:
+    """`_worst_basis` on bases given as bitmasks over m's columns; the
+    labels of the basis at a position, `labels_at(pos)`, go to
+    `standard_form`.
+
     A short circuit is at most the smallest fundamental circuit, so a basis
     whose bound is below the best size so far, or equal to it with the basis
     later in the list, cannot be the answer.  The bound is read from A before
     the pair scan.  Before `standard_form`, a known fundamental circuit C of
     an earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and
-    bounds B.  A pruned entry is never checked to be a basis, so callers pass
-    lists from `bases` or `sample_bases`.  The circuit and its stats are
-    built only for a basis that becomes the worst so far.
+    bounds B.  Such bases are pruned by position, all at once: a mask over
+    positions per element gives the bases that hold it, and the bases that
+    hold C - e for some e in C are an OR of ANDs of those masks.  A known
+    circuit's cover is built once the best size reaches its size, and the
+    next basis to size is the first later one outside every cover.  The
+    circuit and its stats are built only for a basis that becomes the worst
+    so far.
     """
-    # an unknown label gets no bit here; `standard_form` rejects it
-    bit = defaultdict(int, {l: 1 << j for j, l in enumerate(m.labels)})
-    full = (1 << m.size) - 1
-    known: list[set[int]] = [set() for _ in range(m.rank + 2)]  # circuit masks by size
+    index = m._index
+    elem = _element_masks(masks, [1 << j for j in range(m.size)])
+    known: set[int] = set()  # fundamental circuits found so far, as masks
+    pending: list[list[int]] = [[] for _ in range(m.rank + 2)]  # those without a cover, by size
+    covered = 0  # positions the covers prune
+    todo = (1 << len(masks)) - 1  # positions not yet reached
     best = (0, 0)  # (size, -position) of the answer so far
     worst = None
 
-    def pruned(pos: int, basis: tuple[str, ...]) -> bool:
-        outside = full ^ sum(map(bit.__getitem__, basis))
-        for size in range(1, len(known)):
-            if (size, -pos) >= best:
-                break
-            for c in known[size]:
-                x = c & outside
-                if not x & (x - 1):
-                    return True
-        return False
-
-    # each entry is read twice, by `pruned` and by `standard_form`
-    for pos, basis in enumerate(map(tuple, basis_list)):
-        if pruned(pos, basis):
-            continue
-        sf = standard_form(m.matrix, m.labels, basis)
+    while True:
+        for size in range(1, best[0] + 1):
+            for c in pending[size]:
+                # the bases holding c but at most one of its elements: an OR,
+                # over e in c, of the AND of the other elements' masks
+                parts = [elem[j] for j in range(c.bit_length()) if c >> j & 1]
+                for i in range(len(parts)):
+                    covered |= reduce(and_, parts[:i] + parts[i + 1:], -1)
+            pending[size].clear()
+        todo &= ~covered
+        if not todo:
+            return worst
+        low = todo & -todo
+        todo ^= low
+        pos = low.bit_length() - 1
+        sf = standard_form(m.matrix, m.labels, labels_at(pos))
         if not sf.nonbasis_order:
             raise NoCircuitError("free matroid has no circuits")
         cols = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
-        rows = [bit[b] for b in sf.basis_order]
+        rows = [1 << index[b] for b in sf.basis_order]
         bound = len(rows) + 1
         for e, col in cols.items():
             size = len(rows) + 1 - col.count(0)
-            known[size].add(bit[e] | sum(compress(rows, col)))
+            c = 1 << index[e] | sum(compress(rows, col))
+            if c not in known:
+                known.add(c)
+                pending[size].append(c)
             bound = min(bound, size)
         if (bound, -pos) < best:
             continue
@@ -157,7 +195,6 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]
             best_fundamental=bound,
             source=source,
         )
-    return worst
 
 
 @dataclass(frozen=True)
@@ -172,7 +209,7 @@ def density_ratio(m: RepMatroid) -> DensityRatio:
     r = m.rank
     if r == 0:
         raise ValueError("density ratio undefined at rank 0")
-    n = simplify(m).size
+    n = len(set(_class_ids(m._packed())) - {0})  # m's non-loop parallel classes
     return DensityRatio(n, r, n / r)
 
 
@@ -266,18 +303,11 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         raise NotCosimpleError(cert)
 
     if basis_mode == "all" and m.size <= ALL_BASES_LIMIT:
-        basis_list = bases(m)
         mode_used = "all"
     else:
         if samples < 1:
             raise ValueError(f"basis sampling needs samples >= 1, got {samples}")
-        basis_list = sample_bases(m, samples, seed)
         mode_used = f"sample:{samples}" if basis_mode != "all" else f"sample:{samples} (auto)"
-
-    pos, circ, stats = _worst_basis(m, basis_list)
-    # the girth is at most every short circuit, so this cutoff never binds:
-    # the search stops at the girth, and no size guard applies
-    g = girth(m, cutoff=len(circ))
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):
@@ -301,6 +331,16 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
             dels, cons = witness
             findings.append(MinorFinding(tid, "found", tuple(sorted(dels)), tuple(sorted(cons))))
 
+    # after the minor searches, which may have walked m and left the walk on it
+    if mode_used == "all":
+        masks = _basis_masks(m)
+    else:
+        masks = [sum(1 << j for j in m.indices_of(b)) for b in sample_bases(m, samples, seed)]
+    pos, circ, stats = _worst_of(m, masks, lambda pos: _labels_of(m, masks[pos]))
+    # the girth is at most every short circuit, so this cutoff never binds:
+    # the search stops at the girth, and no size guard applies
+    g = girth(m, cutoff=len(circ))
+
     density = density_ratio(m) if m.rank else None
     return DichotomyReport(
         instance=instance_id,
@@ -312,9 +352,9 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         min_sym_diff=stats.min_sym_diff,
         minors=tuple(findings),
         density=density,
-        basis=tuple(basis_list[pos]),
+        basis=_labels_of(m, masks[pos]),
         basis_mode=mode_used,
-        bases_checked=len(basis_list),
+        bases_checked=len(masks),
     )
 
 

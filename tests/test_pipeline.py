@@ -3,6 +3,8 @@ import pytest
 import random
 import re
 import time
+from collections import Counter
+from itertools import compress
 
 from gfmatroids import (
     GFMatrix,
@@ -273,7 +275,7 @@ def test_verify_dichotomy_rejects_t_below_2_before_any_other_work(monkeypatch):
     def unexpected(*args):
         raise AssertionError("called before t was checked")
 
-    for name in ("cosimple_certificate", "bases", "sample_bases", "_worst_basis"):
+    for name in ("cosimple_certificate", "_basis_masks", "sample_bases", "_worst_of"):
         monkeypatch.setattr(pipeline, name, unexpected)
     with pytest.raises(ValueError, match="clique needs t >= 2, got 1"):
         verify_dichotomy(clique(4, F2), 1)
@@ -368,6 +370,66 @@ def test_short_circuit_matches_reference_on_every_basis(q):
             for ordered in (basis_list, basis_list[::-1]):
                 assert pipeline._worst_basis(m, ordered) == _first_worst(
                     [refs[b] for b in ordered])
+
+
+def _verify_instances(q):
+    """Cosimple matroids over GF(q): three of rank r(M(K4)) = r(M(K4)*) = 3,
+    Fano's plane among them over GF(2), and three each of ranks 2 and 4."""
+    f = field_from_order(q)
+    out = [projective_geometry(3, f)] if q == 2 else []
+    for r in (3, 2, 4):
+        drawn = [m for m in (random_matroid(r, r + 3 + i % 4, f, seed=9000 + 100 * q + i)
+                             for i in range(40)) if m.rank == r and is_cosimple(m)]
+        out += drawn[:3 - len(out) if r == 3 else 3]
+    return out
+
+
+def _sized_bases_reference(m, basis_list):
+    """The bases the worst-basis pass sizes, one test per basis: a basis B
+    is passed over when a fundamental circuit C of an earlier sized basis,
+    no larger than the largest short circuit so far, has |C \\ B| <= 1."""
+    known, sized, best = [], [], 0
+    for b in basis_list:
+        if any(len(c) <= best and len(c - set(b)) <= 1 for c in known):
+            continue
+        sized.append(frozenset(b))
+        sf = standard_form(m.matrix, m.labels, b)
+        known += [frozenset(compress(sf.basis_order, col)) | {e}
+                  for e, col in zip(sf.nonbasis_order, sf.a.col_tuples())]
+        best = max(best, len(short_circuit_reference(m, b)[0]))
+    return sized
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_verify_dichotomy_agrees_with_the_label_walk_and_the_reference(monkeypatch, q):
+    # verify runs its minor searches first: at r(m) = 3 the M(K4) search
+    # contracts nothing, may walk all of m and leave the walk on it, and the
+    # basis pass then reads its bases off that walk; otherwise it walks the
+    # bases alone.  Either way the report is `_worst_basis` over the bases
+    # as labels, and the reference's first worst basis, and the bitset
+    # prune sizes exactly the bases that a test per basis would
+    sized = []
+    real = pipeline.standard_form
+    monkeypatch.setattr(pipeline, "standard_form",
+                        lambda mat, labels, b: sized.append(frozenset(b)) or real(mat, labels, b))
+    paths = Counter()
+    for m in _verify_instances(q):
+        sized.clear()
+        rep = verify_dichotomy(m, 4)
+        in_verify = list(sized)
+        paths[m.rank == 3, m._indep_cache is not None] += 1
+        fresh = RepMatroid(m.field, m.matrix, m.labels)
+        listed = bases(fresh)
+        assert bases(m) == listed
+        pos, circ, stats = pipeline._worst_basis(fresh, listed)
+        assert (rep.basis, rep.circuit, rep.bases_checked) == (listed[pos], tuple(sorted(circ)),
+                                                               len(listed))
+        assert (rep.circuit_size, rep.nonbasis_count, rep.min_sym_diff) == (
+            len(circ), stats.nonbasis_count, stats.min_sym_diff)
+        assert (pos, circ, stats) == _first_worst([short_circuit_reference(m, b) for b in listed])
+        assert in_verify == _sized_bases_reference(m, listed)
+    # both paths ran, and only a search that contracts nothing walks m
+    assert paths[True, True] and paths[False, False] and not paths[False, True], paths
 
 
 def test_short_circuit_sizes_with_more_rows_than_rank():
@@ -509,7 +571,7 @@ def test_verify_dichotomy_rejects_an_unknown_basis_mode_before_any_other_work(mo
     def unexpected(*args):
         raise AssertionError("called before basis_mode was checked")
 
-    for name in ("cosimple_certificate", "bases", "sample_bases", "_worst_basis"):
+    for name in ("cosimple_certificate", "_basis_masks", "sample_bases", "_worst_of"):
         monkeypatch.setattr(pipeline, name, unexpected)
     with pytest.raises(ValueError, match="basis_mode must be 'all' or 'sample', got 'bogus'"):
         verify_dichotomy(clique(4, F2, dualize=True), 4, basis_mode="bogus")
