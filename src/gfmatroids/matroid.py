@@ -11,11 +11,9 @@ built: GF(2) columns are int bitmasks reduced word-parallel, other fields
 use tuples of element codes scaled so that the first nonzero entry is 1.
 Each matroid caches its columns in the kernel's form.
 
-One walk lists the independent sets of a matroid as bitmasks, and each
-matroid caches its own walk: isomorphism profiles, rank tables and the
-bases read it, and so does the minor search when it contracts nothing,
-as m/{} is m.  Without a cached walk, the bases come from a walk of the
-bases alone, which is not kept.  Like girth's search, each walk stops
+One walk lists the independent sets of a matroid as bitmasks; isomorphism
+profiles, rank tables and the minor search all read from it, and `bases`
+walks the same way, over r-sets only.  Like girth's search, each walk stops
 reducing one level above its leaves: a set of r - 2 chosen columns closes
 with one pair test, since two later columns extend it to an independent
 r-set exactly when their reduced forms are nonzero and differ.  So a walk
@@ -37,8 +35,7 @@ When the search on m deletes at least one element and the dual side
 walks fewer contract sets, `has_minor` searches (m*, target*) first:
 an absent answer there is final, and a found one hands over to the
 search on m, whose first witness is returned.  Each matroid computes its
-dual once and keeps it, and the dual keeps the rows of m's [I | A]: they
-span the dual's cycle space, so its codewords need no second elimination.
+dual once and keeps it.
 
 Tie-breaking is lexicographic by label throughout, and search results are
 deterministic: the first witness in canonical enumeration order wins.
@@ -98,9 +95,6 @@ class RepMatroid:
         self._packed_cache: Optional[list] = None
         self._rank_cache: Optional[int] = None
         self._dual_cache: Optional[RepMatroid] = None
-        self._indep_cache: Optional[list[int]] = None
-        # set by `dual` on the dual it builds: independent rows spanning its cycle space
-        self._cycle_rows: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def size(self) -> int:
@@ -303,22 +297,9 @@ def _independent_masks(kern: _Kernel, cols: Sequence, r: int, bases_only: bool =
     return out
 
 
-def _independent_sets(m: RepMatroid) -> list[int]:
-    """m's independent sets as bitmasks, from one walk that is cached on m.
-    The list is shared: callers read it and do not change it."""
-    if m._indep_cache is None:
-        m._indep_cache = _independent_masks(m._kernel, m._packed(), m.rank)
-    return m._indep_cache
-
-
 def _basis_masks(m: RepMatroid) -> list[int]:
-    """m's bases as bitmasks, in lexicographic column-index order: the
-    r-sets of m's cached walk when it has one, else a walk of bases only,
-    which is not cached."""
-    r = m.rank
-    if m._indep_cache is not None:
-        return [s for s in m._indep_cache if s.bit_count() == r]
-    return _independent_masks(m._kernel, m._packed(), r, bases_only=True)
+    """m's bases as bitmasks, in lexicographic column-index order."""
+    return _independent_masks(m._kernel, m._packed(), m.rank, bases_only=True)
 
 
 def _labels_of(m: RepMatroid, mask: int) -> tuple[str, ...]:
@@ -331,7 +312,7 @@ def rank_table(m: RepMatroid) -> list[int]:
     n = m.size
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"rank_table limited to {ENUMERATION_LIMIT} elements (|E| = {n})")
-    return _rank_table(_independent_sets(m), n)
+    return _rank_table(_independent_masks(m._kernel, m._packed(), m.rank), n)
 
 
 def _rank_table(indep: Iterable[int], n: int) -> list[int]:
@@ -403,8 +384,7 @@ def dual(m: RepMatroid) -> RepMatroid:
 
     Computed once per matroid and cached on it.  The cache points forward
     only: the dual's own dual is computed afresh, as its matrix differs
-    from m's.  The dual keeps the rows of m's [I | A], in m's column
-    order, as the rows that span its cycle space."""
+    from m's."""
     if m._dual_cache is not None:
         return m._dual_cache
     sf = _canonical_standard_form(m.matrix, m.labels)
@@ -416,13 +396,8 @@ def dual(m: RepMatroid) -> RepMatroid:
     for j, e in enumerate(sf.nonbasis_order):
         col_map[e] = tuple(1 if i == j else 0 for i in range(nb))
     cols = [col_map[l] for l in m.labels]
-    d = m._dual_cache = RepMatroid(m.field, GFMatrix.from_cols(m.field, cols, nb), m.labels)
-    row_of = {b: i for i, b in enumerate(sf.basis_order)}
-    col_of = {e: j for j, e in enumerate(sf.nonbasis_order)}
-    d._cycle_rows = tuple(
-        tuple(int(row_of[l] == i) if l in row_of else a_row[col_of[l]] for l in m.labels)
-        for i, a_row in enumerate(sf.a.row_tuples()))
-    return d
+    m._dual_cache = RepMatroid(m.field, GFMatrix.from_cols(m.field, cols, nb), m.labels)
+    return m._dual_cache
 
 
 def minor(m: RepMatroid, delete: Iterable[str] = (), contract: Iterable[str] = ()) -> RepMatroid:
@@ -565,8 +540,8 @@ class _Profile:
 
     @classmethod
     def of(cls, m: RepMatroid) -> _Profile:
-        # the masks number the sets by their position in m's cached walk
-        indep = _independent_sets(m)
+        # the masks number the sets by their position in the walk
+        indep = _independent_masks(m._kernel, m._packed(), m.rank)
         bits = [1 << j for j in range(m.size)]
         return cls(indep, bits, _element_masks(indep, bits), _size_mask(indep, m.rank))
 
@@ -640,13 +615,11 @@ def _codeword_supports(m: RepMatroid) -> list[int]:
     """Support bitmask (bit j for column j) of one codeword per 1-dimensional
     subspace of m's cycle space, the null space of its matrix.
 
-    Independent rows span that space: the rows of dual(m)'s matrix or,
-    when m is itself a dual, the rows of its parent's [I | A], which `dual`
-    leaves on it.  Over GF(2) every nonzero combination is listed in
-    Gray-code order, one XOR per step; over other fields, one vector per
-    projective point, with leading coefficient 1.
+    The rows of dual(m)'s matrix span that space.  Over GF(2) every nonzero
+    combination is listed in Gray-code order, one XOR per step; over other
+    fields, one vector per projective point, with leading coefficient 1.
     """
-    rows = m._cycle_rows if m._cycle_rows is not None else dual(m).matrix.row_tuples()
+    rows = dual(m).matrix.row_tuples()
     if m.field.q == 2:
         packed = [_pack2(r) for r in rows]
         out, s = [], 0
@@ -939,9 +912,7 @@ def _minor_search(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset
             if family is None:
                 # the first candidate of C to get here walks m/C, once, and
                 # builds per-element masks over the walk's sets
-                # m/C has the target's rank; m/{} is m, whose walk is cached on it
-                family = (_independent_masks(m._kernel, cols, target.rank) if cmask
-                          else _independent_sets(m))
+                family = _independent_masks(m._kernel, cols, target.rank)  # m/C has the target's rank
                 elem = _element_masks(family, [1 << j for j in range(nb)])
                 bases = _size_mask(family, target.rank)
             gone = 0

@@ -18,14 +18,10 @@ that has one element outside a basis is one of that basis's own, so the
 basis may be passed over before its standard form: the bases that hold
 C - e for some e in C are pruned all at once, by bitsets over list
 positions.  The smallest fundamental circuit, read from A, may spare a
-reduced basis its pair scan.  `_worst_basis` takes bases as labels, and
+reduced basis its pair scan.  `verify_dichotomy` feeds it all bases as
+bitmasks, from a walk of the bases alone (`matroid._basis_masks`).
+`_worst_basis` takes bases as labels, sampled ones among them, and
 `find_short_circuit` is its one-basis case.
-
-`verify_dichotomy` runs its minor searches before the basis pass.  A
-search with r(m) = r(target) contracts nothing, and a walk of the
-independent sets of m that it makes is cached on m; the basis pass then
-reads the bases off it, and otherwise walks the bases alone
-(`matroid._basis_masks`).
 """
 
 from __future__ import annotations
@@ -303,11 +299,21 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         raise NotCosimpleError(cert)
 
     if basis_mode == "all" and m.size <= ALL_BASES_LIMIT:
+        masks = _basis_masks(m)
+        pos, circ, stats = _worst_of(m, masks, lambda pos: _labels_of(m, masks[pos]))
+        basis, checked = _labels_of(m, masks[pos]), len(masks)
         mode_used = "all"
     else:
         if samples < 1:
             raise ValueError(f"basis sampling needs samples >= 1, got {samples}")
+        sampled = sample_bases(m, samples, seed)
+        pos, circ, stats = _worst_basis(m, sampled)
+        basis, checked = tuple(sampled[pos]), len(sampled)
         mode_used = f"sample:{samples}" if basis_mode != "all" else f"sample:{samples} (auto)"
+
+    # the girth is at most every short circuit, so this cutoff never binds:
+    # the search stops at the girth, and no size guard applies
+    g = girth(m, cutoff=len(circ))
 
     findings = []
     for tid, dualize in ((f"mk{t}", False), (f"mk{t}_dual", True)):
@@ -331,16 +337,6 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
             dels, cons = witness
             findings.append(MinorFinding(tid, "found", tuple(sorted(dels)), tuple(sorted(cons))))
 
-    # after the minor searches, which may have walked m and left the walk on it
-    if mode_used == "all":
-        masks = _basis_masks(m)
-    else:
-        masks = [sum(1 << j for j in m.indices_of(b)) for b in sample_bases(m, samples, seed)]
-    pos, circ, stats = _worst_of(m, masks, lambda pos: _labels_of(m, masks[pos]))
-    # the girth is at most every short circuit, so this cutoff never binds:
-    # the search stops at the girth, and no size guard applies
-    g = girth(m, cutoff=len(circ))
-
     density = density_ratio(m) if m.rank else None
     return DichotomyReport(
         instance=instance_id,
@@ -352,9 +348,9 @@ def verify_dichotomy(m: RepMatroid, t: int, basis_mode: str = "all", samples: in
         min_sym_diff=stats.min_sym_diff,
         minors=tuple(findings),
         density=density,
-        basis=_labels_of(m, masks[pos]),
+        basis=basis,
         basis_mode=mode_used,
-        bases_checked=len(masks),
+        bases_checked=checked,
     )
 
 

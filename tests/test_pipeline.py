@@ -3,7 +3,6 @@ import pytest
 import random
 import re
 import time
-from collections import Counter
 from itertools import compress
 
 from gfmatroids import (
@@ -374,7 +373,8 @@ def test_short_circuit_matches_reference_on_every_basis(q):
 
 def _verify_instances(q):
     """Cosimple matroids over GF(q): three of rank r(M(K4)) = r(M(K4)*) = 3,
-    Fano's plane among them over GF(2), and three each of ranks 2 and 4."""
+    whose M(K4) search contracts nothing, Fano's plane among them over
+    GF(2), and three each of ranks 2 and 4."""
     f = field_from_order(q)
     out = [projective_geometry(3, f)] if q == 2 else []
     for r in (3, 2, 4):
@@ -402,34 +402,25 @@ def _sized_bases_reference(m, basis_list):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_verify_dichotomy_agrees_with_the_label_walk_and_the_reference(monkeypatch, q):
-    # verify runs its minor searches first: at r(m) = 3 the M(K4) search
-    # contracts nothing, may walk all of m and leave the walk on it, and the
-    # basis pass then reads its bases off that walk; otherwise it walks the
-    # bases alone.  Either way the report is `_worst_basis` over the bases
-    # as labels, and the reference's first worst basis, and the bitset
-    # prune sizes exactly the bases that a test per basis would
+    # verify walks the bases as bitmasks; its report is `_worst_basis` over
+    # the bases as labels, and the reference's first worst basis, and the
+    # bitset prune sizes exactly the bases that a test per basis would
     sized = []
     real = pipeline.standard_form
     monkeypatch.setattr(pipeline, "standard_form",
                         lambda mat, labels, b: sized.append(frozenset(b)) or real(mat, labels, b))
-    paths = Counter()
     for m in _verify_instances(q):
         sized.clear()
         rep = verify_dichotomy(m, 4)
         in_verify = list(sized)
-        paths[m.rank == 3, m._indep_cache is not None] += 1
-        fresh = RepMatroid(m.field, m.matrix, m.labels)
-        listed = bases(fresh)
-        assert bases(m) == listed
-        pos, circ, stats = pipeline._worst_basis(fresh, listed)
+        listed = bases(m)
+        pos, circ, stats = pipeline._worst_basis(m, listed)
         assert (rep.basis, rep.circuit, rep.bases_checked) == (listed[pos], tuple(sorted(circ)),
                                                                len(listed))
         assert (rep.circuit_size, rep.nonbasis_count, rep.min_sym_diff) == (
             len(circ), stats.nonbasis_count, stats.min_sym_diff)
         assert (pos, circ, stats) == _first_worst([short_circuit_reference(m, b) for b in listed])
         assert in_verify == _sized_bases_reference(m, listed)
-    # both paths ran, and only a search that contracts nothing walks m
-    assert paths[True, True] and paths[False, False] and not paths[False, True], paths
 
 
 def test_short_circuit_sizes_with_more_rows_than_rank():
@@ -503,6 +494,20 @@ def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
     assert rep.basis == ("e5", "e6", "e7")
     assert rep.circuit_size == 3
     assert rep.circuit == tuple(sorted(find_short_circuit(m, rep.basis)[0]))
+
+
+@pytest.mark.parametrize("q, seed", [(2, 0), (3, 2)])
+def test_verify_dichotomy_reports_a_sampled_basis_as_sampled(q, seed):
+    # past ALL_BASES_LIMIT the bases are sampled as label-sorted tuples; with
+    # labels e0..e14 that is not column order, and the report keeps it
+    m = random_matroid(6, 15, field_from_order(q), seed=seed)
+    assert m.size > pipeline.ALL_BASES_LIMIT and is_cosimple(m)
+    sampled = sample_bases(m, 20, seed=0)
+    pos, circ, stats = pipeline._worst_basis(m, sampled)
+    rep = verify_dichotomy(m, 4)
+    assert rep.basis_mode == "sample:20 (auto)" and rep.bases_checked == len(sampled)
+    assert rep.basis == sampled[pos] != tuple(sorted(sampled[pos], key=m.labels.index))
+    assert (rep.circuit, rep.nonbasis_count) == (tuple(sorted(circ)), stats.nonbasis_count)
 
 
 def test_basis_sampling_stops_once_no_new_basis_is_found():
