@@ -227,10 +227,13 @@ def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[i
                 return True
         return False
 
-    for s in range(1, limit + 1):
-        if rec(cols, s):
-            return s
-    return None
+    try:
+        for s in range(1, limit + 1):
+            if rec(cols, s):
+                return s
+        return None
+    finally:
+        del rec  # rec calls itself through its cell: a cycle that would hold the walk
 
 
 def girth(m: RepMatroid, cutoff: Optional[int] = None):
@@ -294,6 +297,7 @@ def _independent_masks(kern: _Kernel, cols: Sequence, r: int, bases_only: bool =
                                for k, c in enumerate(red[j + 1 - start:], j + 1) if c and c != p)
 
     rec(cols, 0, 0, 0)
+    del rec  # rec calls itself through its cell: a cycle that would hold the walk
     return out
 
 
@@ -595,8 +599,11 @@ def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
                         return True
         return False
 
-    return rec({i: [j for j in range(pb.n) if pb.inv[j] == inv] for i, inv in enumerate(pa.inv)},
-               [(0, 0)])
+    try:
+        return rec({i: [j for j in range(pb.n) if pb.inv[j] == inv] for i, inv in enumerate(pa.inv)},
+                   [(0, 0)])
+    finally:
+        del rec  # rec calls itself through its cell: a cycle that would hold the walk
 
 
 def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
@@ -728,7 +735,11 @@ def _contract_sets(m: RepMatroid, size: int, g: float, d_count: int, supports: O
                 kept = [o for o in (w & keep for w in words) if o.bit_count() - slack < g]
                 yield from rec(reduce(red[j], red), j + 1, depth + 1, pmask | 1 << j, kept)
 
-    return rec(list(m._packed()), 0, 0, 0, [w for w in supports or () if w.bit_count() - size < g])
+    try:
+        yield from rec(list(m._packed()), 0, 0, 0,
+                       [w for w in supports or () if w.bit_count() - size < g])
+    finally:
+        del rec  # rec calls itself through its cell: a cycle that would hold the walk
 
 
 def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[int]:
@@ -755,6 +766,7 @@ def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[i
 
     if limit >= 1:
         rec(list(cols), 0, 0, limit)
+    del rec  # rec calls itself through its cell: a cycle that would hold the walk
     return out
 
 
@@ -781,10 +793,13 @@ def _hitting_sets(n: int, k: int, sets: Iterable[int]):
             yield from rec(j + 1, need - 1, chosen + (j,), mask | bit,
                            [s for s in unmet if not s & bit])
 
-    if k:
-        yield from rec(0, k, (), 0, sets)
-    elif not sets:
-        yield (), 0
+    try:
+        if k:
+            yield from rec(0, k, (), 0, sets)
+        elif not sets:
+            yield (), 0
+    finally:
+        del rec  # rec calls itself through its cell: a cycle that would hold the walk
 
 
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:

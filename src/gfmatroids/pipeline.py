@@ -10,18 +10,26 @@ circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
+Over GF(2) a basis is read without a standard form: `_gf2_basis` tags
+each basis column of m's packed bitmasks with a bit above the row bits
+and reduces every column by the basis columns with the span kernel's
+`_reduce2`, which leaves each non-basis column e holding C(e, B) - e in
+its tag bits.  The fundamental circuits and the pair sets are then
+masks, and the pair scan runs on a set system of those masks.  Larger
+fields read `standard_form`, as the pair scan needs A's exact values.
+
 The harness needs only the worst basis: the first in list order whose
 short circuit is largest.  `_worst_of` walks a list of bases, as
 bitmasks, once with two upper bounds, as a short circuit is at most any
 fundamental circuit.  A known fundamental circuit C of an earlier basis
 that has one element outside a basis is one of that basis's own, so the
-basis may be passed over before its standard form: the bases that hold
-C - e for some e in C are pruned all at once, by bitsets over list
-positions.  The smallest fundamental circuit, read from A, may spare a
-reduced basis its pair scan.  `verify_dichotomy` feeds it all bases as
-bitmasks, from a walk of the bases alone (`matroid._basis_masks`).
-`_worst_basis` takes bases as labels, sampled ones among them, and
-`find_short_circuit` is its one-basis case.
+basis may be passed over before it is read: the bases that hold C - e
+for some e in C are pruned all at once, by bitsets over list positions.
+The smallest fundamental circuit may spare a read basis its pair scan.
+`verify_dichotomy` feeds it all bases as bitmasks, from a walk of the
+bases alone (`matroid._basis_masks`).  `_worst_basis` takes bases as
+labels, sampled ones among them, and `find_short_circuit` is its
+one-basis case.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from operator import and_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .gf import FieldSpec
-from .gfmatrix import standard_form
+from .gfmatrix import NotABasisError, standard_form
 from .matroid import (
     MINOR_TARGET_LIMIT,
     NoCircuitError,
@@ -45,13 +53,14 @@ from .matroid import (
     _class_ids,
     _element_masks,
     _labels_of,
+    _reduce2,
     circuit_of_dependent,
     cosimple_certificate,
     girth,
     has_minor,
     sample_bases,
 )
-from .setsystem import build_set_system, greedy_delta_packing, separation, sym_diff_size
+from .setsystem import SetSystem, build_set_system, greedy_delta_packing, separation, sym_diff_size
 from . import generators
 
 
@@ -95,37 +104,104 @@ def _worst_basis(m: RepMatroid, basis_list: Sequence[Iterable[str]]
     whose short circuit is largest, sizing as few bases as it can.
 
     A pruned entry is never checked to be a basis, so callers pass lists
-    from `bases` or `sample_bases`; an entry that is sized is checked by
-    `standard_form`, which raises for a dependent, non-spanning or unknown
-    set.  `_worst_of` has the method.
+    from `bases` or `sample_bases`; an entry that is sized is checked as
+    it is read, and a dependent, non-spanning or unknown set raises what
+    `standard_form` raises.  `_worst_of` has the method.
     """
     basis_list = [tuple(b) for b in basis_list]
-    # an unknown label gets no bit here; `standard_form` rejects it
+    # an unknown label gets no bit here; reading the basis rejects it
     bit = defaultdict(int, {l: 1 << j for j, l in enumerate(m.labels)})
     masks = [sum(map(bit.__getitem__, set(b))) for b in basis_list]
     return _worst_of(m, masks, basis_list.__getitem__)
+
+
+def _gf2_basis(m: RepMatroid, basis: Iterable[str]) -> dict[str, int]:
+    """{e: C(e, B) - e} for each non-basis e of a basis B of a binary
+    matroid, in column order, as masks over m's columns, read from m's
+    packed columns without a standard form.
+
+    Column j of B is tagged with the bit rows + j, and every column is
+    reduced by B's columns in index order with the span kernel's
+    `_reduce2`.  B is independent, so every lead is a row bit, and the tag
+    bits of a column record which of B's columns it has taken: a
+    non-basis column ends with no row bit left and its representation in
+    B in its tag bits.  A set with an unknown label, or one that is not a
+    basis, raises what `standard_form` raises.
+    """
+    basis = set(basis)
+    unknown = basis.difference(m._index)
+    if unknown:
+        raise ValueError(f"unknown labels in basis: {sorted(unknown)}")
+    rows = m.matrix.rows
+    low = (1 << rows) - 1  # the row bits
+    order = sorted(map(m._index.__getitem__, basis))
+    cols = list(m._packed())
+    for j in order:
+        cols[j] |= 1 << rows + j
+    for j in order:
+        if not cols[j] & low:  # column j is in the span of B's columns before it
+            break
+        cols = _reduce2(cols[j], cols)  # which clears column j: B's columns end at 0
+    else:
+        if not any(c & low for c in cols):  # a row bit left: B does not span
+            return {l: c >> rows for l, c in zip(m.labels, cols) if l not in basis}
+    raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
+
+
+def _read_basis(m: RepMatroid, basis: Iterable[str]) -> tuple[
+        dict[str, int], Callable[[], SetSystem], Callable[[str, str], tuple[frozenset[str], bool]]]:
+    """One basis B as `_worst_of` reads it: the fundamental circuit C(e, B)
+    of each non-basis e, in column order, as a mask over m's columns; B's
+    set system, built on call, for the closest-pair scan; and, for a pair
+    e, f, the set D of e, f and the elements of B where a_e and a_f
+    differ, with whether a_e and a_f share a nonzero entry.
+
+    Over GF(2) B is read by `_gf2_basis`, and the set system's masks are
+    the columns' masks over m's columns rather than over B's rows: over
+    GF(2) symmetric difference and Hamming distance are popcounts of XOR
+    and AND, whatever the bit layout, and `separation` reads nothing else.
+    Other fields read `standard_form`, as the pair scan needs A's exact
+    values and the packed columns are rescaled.
+    """
+    index = m._index
+    if m.field.q == 2:
+        a = _gf2_basis(m, basis)
+        fund = {e: x | 1 << index[e] for e, x in a.items()}
+        return (fund, lambda: SetSystem(m.field, (), list(a.items()), a),
+                lambda e, f: (frozenset(_labels_of(m, a[e] ^ a[f])) | {e, f}, a[e] & a[f] != 0))
+    sf = standard_form(m.matrix, m.labels, basis)
+    rows = [1 << index[b] for b in sf.basis_order]
+    cols = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
+    fund = {e: 1 << index[e] | sum(compress(rows, col)) for e, col in cols.items()}
+
+    def pair(e: str, f: str) -> tuple[frozenset[str], bool]:
+        ce, cf = cols[e], cols[f]
+        return (frozenset(b for b, x, y in zip(sf.basis_order, ce, cf) if x != y) | {e, f},
+                any(x == y != 0 for x, y in zip(ce, cf)))
+
+    return fund, lambda: build_set_system(sf), pair
 
 
 def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], Iterable[str]]
               ) -> tuple[int, frozenset[str], ShortCircuitStats]:
     """`_worst_basis` on bases given as bitmasks over m's columns; the
     labels of the basis at a position, `labels_at(pos)`, go to
-    `standard_form`.
+    `_read_basis`, which reads a GF(2) basis from the span kernel's
+    bitmasks and any other from `standard_form`.
 
     A short circuit is at most the smallest fundamental circuit, so a basis
     whose bound is below the best size so far, or equal to it with the basis
-    later in the list, cannot be the answer.  The bound is read from A before
-    the pair scan.  Before `standard_form`, a known fundamental circuit C of
+    later in the list, cannot be the answer.  The bound is read before the
+    pair scan.  Before a basis B is read, a known fundamental circuit C of
     an earlier basis with C \\ B = {e} lies in B + e, so it is C(e, B) and
     bounds B.  Such bases are pruned by position, all at once: a mask over
     positions per element gives the bases that hold it, and the bases that
     hold C - e for some e in C are an OR of ANDs of those masks.  A known
     circuit's cover is built once the best size reaches its size, and the
-    next basis to size is the first later one outside every cover.  The
+    next basis to read is the first later one outside every cover.  The
     circuit and its stats are built only for a basis that becomes the worst
     so far.
     """
-    index = m._index
     elem = _element_masks(masks, [1 << j for j in range(m.size)])
     known: set[int] = set()  # fundamental circuits found so far, as masks
     pending: list[list[int]] = [[] for _ in range(m.rank + 2)]  # those without a cover, by size
@@ -149,41 +225,40 @@ def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], It
         low = todo & -todo
         todo ^= low
         pos = low.bit_length() - 1
-        sf = standard_form(m.matrix, m.labels, labels_at(pos))
-        if not sf.nonbasis_order:
+        basis = labels_at(pos)
+        fund, system, pair = _read_basis(m, basis)
+        if not fund:
             raise NoCircuitError("free matroid has no circuits")
-        cols = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
-        rows = [1 << index[b] for b in sf.basis_order]
-        bound = len(rows) + 1
-        for e, col in cols.items():
-            size = len(rows) + 1 - col.count(0)
-            c = 1 << index[e] | sum(compress(rows, col))
+        for c in fund.values():
             if c not in known:
                 known.add(c)
-                pending[size].append(c)
-            bound = min(bound, size)
+                pending[c.bit_count()].append(c)
+        bound = min(map(int.bit_count, fund.values()))
         if (bound, -pos) < best:
             continue
         sep, pairs = None, []
-        if len(cols) >= 2:
-            sep = separation(build_set_system(sf))
+        if len(fund) >= 2:
+            sep = separation(system())
             for e, f in dict.fromkeys([sep.min_pair, sep.hamming_pair]):
-                circ = frozenset(b for b, x, y in zip(sf.basis_order, cols[e], cols[f]) if x != y) | {e, f}
+                circ, shared = pair(e, f)
                 # when a_e and a_f share a nonzero entry, e is outside the span
                 # of the differing rows: the pair set has nullity 1, and its one
                 # dependency e - f - sum (a_e - a_f)_b b has full support
-                if not any(x == y != 0 for x, y in zip(cols[e], cols[f])):
+                if not shared:
                     circ = circuit_of_dependent(m, circ)
                 pairs.append(circ)
-        if (min([bound] + [len(c) for c in pairs]), -pos) < best:
+        size = min([bound] + [len(c) for c in pairs])
+        if (size, -pos) < best:
             continue
-        fundamentals = [frozenset(compress(sf.basis_order, col)) | {e} for e, col in cols.items()]
-        candidates = [(len(c), tuple(sorted(c)), c, "fundamental") for c in fundamentals]
-        candidates += [(len(c), tuple(sorted(c)), c, "pair") for c in pairs]
-        size, _, circ, source = min(candidates)
+        # the smallest circuit by sorted labels, a fundamental one before a pair's
+        candidates = [(sorted(_labels_of(m, c)), "fundamental") for c in fund.values()
+                      if c.bit_count() == size]
+        candidates += [(sorted(c), "pair") for c in pairs if len(c) == size]
+        labels, source = min(candidates)
+        circ = frozenset(labels)
         best = (size, -pos)
         worst = pos, circ, ShortCircuitStats(
-            nonbasis_count=len(circ.difference(sf.basis_order)),
+            nonbasis_count=len(circ.difference(basis)),
             min_sym_diff=sep and sep.sym_diff,
             min_sym_pair=sep and sep.min_pair,
             pair_hamming=sep and sep.hamming,

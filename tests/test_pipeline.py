@@ -1,5 +1,6 @@
 import pytest
 
+import gc
 import random
 import re
 import time
@@ -404,15 +405,20 @@ def _sized_bases_reference(m, basis_list):
 def test_verify_dichotomy_agrees_with_the_label_walk_and_the_reference(monkeypatch, q):
     # verify walks the bases as bitmasks; its report is `_worst_basis` over
     # the bases as labels, and the reference's first worst basis, and the
-    # bitset prune sizes exactly the bases that a test per basis would
-    sized = []
-    real = pipeline.standard_form
+    # bitset prune sizes exactly the bases that a test per basis would.  A
+    # GF(2) basis is read by `_gf2_basis`, any other by `standard_form`
+    sized, other = [], []
+    real_sf, real_gf2 = pipeline.standard_form, pipeline._gf2_basis
+    gf2_log, sf_log = (sized, other) if q == 2 else (other, sized)  # `other` takes the wrong reader
     monkeypatch.setattr(pipeline, "standard_form",
-                        lambda mat, labels, b: sized.append(frozenset(b)) or real(mat, labels, b))
+                        lambda mat, labels, b: sf_log.append(frozenset(b)) or real_sf(mat, labels, b))
+    monkeypatch.setattr(pipeline, "_gf2_basis",
+                        lambda m, b: gf2_log.append(frozenset(b)) or real_gf2(m, b))
     for m in _verify_instances(q):
         sized.clear()
         rep = verify_dichotomy(m, 4)
         in_verify = list(sized)
+        assert not other
         listed = bases(m)
         pos, circ, stats = pipeline._worst_basis(m, listed)
         assert (rep.basis, rep.circuit, rep.bases_checked) == (listed[pos], tuple(sorted(circ)),
@@ -451,6 +457,62 @@ def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
         assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
 
+def _binary_matroid(rng, rows, n):
+    """A random binary matroid on `rows` rows and n columns, drawn so that
+    rows often exceed the rank, with loops and repeated columns."""
+    cols = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * rows)
+        elif kind < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))
+        else:
+            cols.append([rng.randrange(2) for _ in range(rows)])
+    spare = rng.randrange(rows)  # a row that repeats another, or is zero
+    for col in cols:
+        col[spare] = col[rng.randrange(rows)] if rng.random() < 0.5 else 0
+    return RepMatroid(F2, GFMatrix(F2, [list(r) for r in zip(*cols)]), [f"e{j}" for j in range(n)])
+
+
+def test_gf2_basis_reading_matches_the_standard_form_reference():
+    # over GF(2) `_worst_basis` reads each basis from the packed columns,
+    # and the reference through `standard_form`; on any set that is not a
+    # basis both raise the same error
+    rng = random.Random(30)
+    seen = {"rows above rank": 0, "loop": 0, "repeat": 0, "unknown": 0, "dependent": 0,
+            "non-spanning": 0}
+    for i in range(300):
+        m = _binary_matroid(rng, 1 + i % 7, 1 + rng.randrange(12))
+        cols = m.matrix.col_tuples()
+        seen["rows above rank"] += m.matrix.rows > m.rank
+        seen["loop"] += not all(map(any, cols))
+        seen["repeat"] += len(set(cols)) < len(cols)
+        listed = bases(m)
+        if m.rank == m.size:
+            with pytest.raises(NoCircuitError):
+                pipeline._worst_basis(m, listed)
+            continue
+        refs = {frozenset(b): short_circuit_reference(m, b) for b in listed}
+        for basis_list in (listed, listed[::-1], sample_bases(m, 6, seed=i)):
+            assert pipeline._worst_basis(m, basis_list) == _first_worst(
+                [refs[frozenset(b)] for b in basis_list])
+        for _ in range(6):
+            bad = rng.sample(m.labels, rng.randrange(m.size + 1))
+            if rng.random() < 0.2:
+                bad.append("x")
+            try:
+                standard_form(m.matrix, m.labels, bad)
+            except ValueError as want:
+                with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                    pipeline._worst_basis(m, [bad])
+                seen["unknown" if "x" in bad else "dependent" if len(bad) > m.rank
+                     else "non-spanning"] += 1
+            else:
+                assert frozenset(bad) in refs
+    assert min(seen.values()) >= 40, seen
+
+
 def test_short_circuit_reads_a_one_shot_basis_once():
     pet = graphic(named_graph("petersen"), F2)
     basis = bases(pet)[0]
@@ -460,10 +522,11 @@ def test_short_circuit_reads_a_one_shot_basis_once():
 
 
 def test_verify_dichotomy_reduces_no_basis_past_the_worst_basis_walk(monkeypatch):
-    # the walk's circuit and stats are the report's: verify makes no
-    # `standard_form` or `separation` call of its own
+    # the walk's circuit and stats are the report's: verify makes no call
+    # of its own to a basis reader, `_gf2_basis` over GF(2) and
+    # `standard_form` otherwise, or to `separation`
     counts = {}
-    for name in ("standard_form", "separation"):
+    for name in ("standard_form", "_gf2_basis", "separation"):
         def counted(*args, _fn=getattr(pipeline, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args)
@@ -478,7 +541,25 @@ def test_verify_dichotomy_reduces_no_basis_past_the_worst_basis_walk(monkeypatch
         counts.clear()
         pos, circ, _ = pipeline._worst_basis(m, basis_list)
         assert (rep.basis, rep.circuit) == (basis_list[pos], tuple(sorted(circ)))
-        assert in_verify == counts and counts["standard_form"] > 0 and counts["separation"] > 0
+        read, unread = ("_gf2_basis", "standard_form") if m.field.q == 2 else ("standard_form", "_gf2_basis")
+        assert in_verify == counts and counts[read] > 0 and counts["separation"] > 0
+        assert unread not in counts
+
+
+def test_verify_dichotomy_leaves_no_reference_cycles():
+    # the recursive walks free their lists when they end, without waiting
+    # for the cyclic collector
+    instances = [(graphic(named_graph("petersen"), F2), 5), (graphic(named_graph("cube"), F3), 4)]
+    for m, t in instances:
+        verify_dichotomy(m, t)  # builds the cached targets first
+    gc.collect()
+    gc.disable()
+    try:
+        for m, t in instances:
+            verify_dichotomy(m, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_dichotomy_reports_the_first_worst_basis_in_list_order():
