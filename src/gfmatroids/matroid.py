@@ -216,24 +216,17 @@ def _min_dependent_size(kern: _Kernel, cols: Sequence, limit: int) -> Optional[i
     a dependent s-set exactly when the later columns, reduced by it, hold
     a 0 or two equal entries.  Size 1 is the test `0 in cols`.
     """
-    reduce = kern.reduce
+    return next((s for s in range(1, limit + 1) if _completes_dependent(kern.reduce, cols, s)), None)
 
-    def rec(red: list, need: int) -> bool:
-        # True when `need` more columns of red complete a dependent set
-        if need <= 2:
-            return 0 in red or need == 2 and len(set(red)) < len(red)
-        for j in range(len(red) - need + 1):
-            if rec(reduce(red[j], red[j + 1:]), need - 1):
-                return True
-        return False
 
-    try:
-        for s in range(1, limit + 1):
-            if rec(cols, s):
-                return s
-        return None
-    finally:
-        del rec  # rec calls itself through its cell: a cycle that would hold the walk
+def _completes_dependent(reduce: Callable, red: list, need: int) -> bool:
+    # whether `need` more columns of red, reduced by the chosen ones, complete a dependent set
+    if need <= 2:
+        return 0 in red or need == 2 and len(set(red)) < len(red)
+    for j in range(len(red) - need + 1):
+        if _completes_dependent(reduce, reduce(red[j], red[j + 1:]), need - 1):
+            return True
+    return False
 
 
 def girth(m: RepMatroid, cutoff: Optional[int] = None):
@@ -280,25 +273,26 @@ def _independent_masks(kern: _Kernel, cols: Sequence, r: int, bases_only: bool =
     r-sets add two such columns whose reduced forms differ, as two reduced
     columns are equal exactly when they are parallel modulo the span.
     """
-    reduce = kern.reduce
     out = [0] if r == 0 or not bases_only else []
-
-    def rec(red: list, start: int, depth: int, mask: int) -> None:
-        # red: the columns from `start` on, reduced by the `depth` chosen ones in mask
-        for j, p in enumerate(red[:len(red) + depth + 1 - r] if bases_only else red, start):
-            if p:
-                child = mask | 1 << j
-                if depth + 1 == r or not bases_only:
-                    out.append(child)
-                if depth + 2 < r:
-                    rec(reduce(p, red[j + 1 - start:]), j + 1, depth + 1, child)
-                elif depth + 2 == r:  # the pair close
-                    out.extend(child | 1 << k
-                               for k, c in enumerate(red[j + 1 - start:], j + 1) if c and c != p)
-
-    rec(cols, 0, 0, 0)
-    del rec  # rec calls itself through its cell: a cycle that would hold the walk
+    _extend_independent(kern.reduce, cols, 0, 0, r, bases_only, out)
     return out
+
+
+def _extend_independent(reduce: Callable, red: Sequence, start: int, mask: int, need: int,
+                        bases_only: bool, out: list[int]) -> None:
+    # red: the columns from `start` on, reduced by the chosen ones in mask,
+    # which need `need` more to reach the rank
+    for j, p in enumerate(red[:len(red) + 1 - need] if bases_only else red, start):
+        if p:
+            child = mask | 1 << j
+            if need == 1 or not bases_only:
+                out.append(child)
+            if need > 2:
+                _extend_independent(reduce, reduce(p, red[j + 1 - start:]), j + 1, child, need - 1,
+                                    bases_only, out)
+            elif need == 2:  # the pair close
+                out.extend(child | 1 << k
+                           for k, c in enumerate(red[j + 1 - start:], j + 1) if c and c != p)
 
 
 def _basis_masks(m: RepMatroid) -> list[int]:
@@ -566,44 +560,40 @@ def _match_profiles(pa: _Profile, pb: _Profile) -> bool:
         return False
     if sorted(pa.inv) != sorted(pb.inv):
         return False
+    images = {i: [j for j in range(pb.n) if pb.inv[j] == inv] for i, inv in enumerate(pa.inv)}
+    return _place(pa, pb, images, [(0, 0)])
+
+
+def _place(pa: _Profile, pb: _Profile, images: dict[int, list[int]],
+           pairs: list[tuple[int, int]]) -> bool:
+    # images: each unplaced element of a with its possible images in b;
+    # pairs: each independent set of placed elements with its image
+    if not images:
+        return True
     a_ind, b_ind = pa.indep, pb.indep
-    a_bits, b_bits = pa.bits, pb.bits
-    a_pair, b_pair = pa.pair, pb.pair
-
-    def rec(images: dict[int, list[int]], pairs: list[tuple[int, int]]) -> bool:
-        # images: each unplaced element of a with its possible images in b;
-        # pairs: each independent set of placed elements with its image
-        if not images:
-            return True
-        i = min(images, key=lambda u: len(images[u]))
-        abit, arow = a_bits[i], a_pair[i]
-        for j in images[i]:
-            bbit, brow = b_bits[j], b_pair[j]
-            rest = {}
-            for u, imgs in images.items():
-                if u != i:
-                    rest[u] = [v for v in imgs if v != j and brow[v] == arow[u]]
-                    if not rest[u]:
-                        break
+    i = min(images, key=lambda u: len(images[u]))
+    abit, arow = pa.bits[i], pa.pair[i]
+    for j in images[i]:
+        bbit, brow = pb.bits[j], pb.pair[j]
+        rest = {}
+        for u, imgs in images.items():
+            if u != i:
+                rest[u] = [v for v in imgs if v != j and brow[v] == arow[u]]
+                if not rest[u]:
+                    break
+        else:
+            new = []
+            for ma, mb in pairs:
+                na, nb = ma | abit, mb | bbit
+                ia = na in a_ind
+                if ia != (nb in b_ind):
+                    break
+                if ia:
+                    new.append((na, nb))
             else:
-                new = []
-                for ma, mb in pairs:
-                    na, nb = ma | abit, mb | bbit
-                    ia = na in a_ind
-                    if ia != (nb in b_ind):
-                        break
-                    if ia:
-                        new.append((na, nb))
-                else:
-                    if rec(rest, pairs + new):
-                        return True
-        return False
-
-    try:
-        return rec({i: [j for j in range(pb.n) if pb.inv[j] == inv] for i, inv in enumerate(pa.inv)},
-                   [(0, 0)])
-    finally:
-        del rec  # rec calls itself through its cell: a cycle that would hold the walk
+                if _place(pa, pb, rest, pairs + new):
+                    return True
+    return False
 
 
 def is_isomorphic(a: RepMatroid, b: RepMatroid) -> bool:
@@ -711,35 +701,34 @@ def _contract_sets(m: RepMatroid, size: int, g: float, d_count: int, supports: O
     reduced by C and, when m's codeword supports are given, their parts
     outside C of fewer than g elements.
 
-    A depth-first walk chooses C's columns in index order, and reduces all
-    of m's columns by each chosen column, as `_independent_subsets` does.
-    It carries the codewords' parts outside the prefix P, keeping those
-    that can still come within g elements of C.  A dependent set X of m/P
-    leaves X - C dependent in m/C, and its circuits there must meet the
-    deletion set when smaller than g; so once the short circuits of m/P
-    force more than d_count deletions, the walk skips P and every
-    extension of it.
+    A depth-first walk chooses C's columns in index order, as the walk of
+    `_independent_masks` does, but reduces all of m's columns by each
+    chosen column, not only the later ones.  It carries the codewords'
+    parts outside the prefix P, keeping those that can still come within
+    g elements of C.  A dependent set X of m/P leaves X - C dependent in
+    m/C, and its circuits there must meet the deletion set when smaller
+    than g; so once the short circuits of m/P force more than d_count
+    deletions, the walk skips P and every extension of it.
     """
-    n, reduce = m.size, m._kernel.reduce
+    words = [w for w in supports or () if w.bit_count() - size < g]
+    yield from _extend_contract(m._kernel.reduce, list(m._packed()), 0, 0, size, words, g, d_count)
 
-    def rec(red: list, start: int, depth: int, pmask: int, words: list[int]):
-        if _forced_deletions(red, depth, g, words) > d_count:
-            return
-        if depth == size:
-            yield pmask, red, words
-            return
-        slack = size - depth - 1  # columns still to choose after the next
-        for j in range(start, n - slack):
-            if red[j]:
-                keep = ~(1 << j)
-                kept = [o for o in (w & keep for w in words) if o.bit_count() - slack < g]
-                yield from rec(reduce(red[j], red), j + 1, depth + 1, pmask | 1 << j, kept)
 
-    try:
-        yield from rec(list(m._packed()), 0, 0, 0,
-                       [w for w in supports or () if w.bit_count() - size < g])
-    finally:
-        del rec  # rec calls itself through its cell: a cycle that would hold the walk
+def _extend_contract(reduce: Callable, red: list, start: int, pmask: int, left: int,
+                     words: list[int], g: float, d_count: int):
+    # red: m's columns reduced by the prefix in pmask, which needs `left` more columns
+    if _forced_deletions(red, pmask.bit_count(), g, words) > d_count:
+        return
+    if not left:
+        yield pmask, red, words
+        return
+    slack = left - 1  # columns still to choose after the next
+    for j in range(start, len(red) - slack):
+        if red[j]:
+            keep = ~(1 << j)
+            kept = [o for o in (w & keep for w in words) if o.bit_count() - slack < g]
+            yield from _extend_contract(reduce, reduce(red[j], red), j + 1, pmask | 1 << j, slack,
+                                        kept, g, d_count)
 
 
 def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[int]:
@@ -749,25 +738,26 @@ def _short_dependent_sets(kern: _Kernel, cols: Sequence, limit: float) -> list[i
     0 by I, and I plus two later columns that reduce to the same column,
     parallel modulo I's span (a circuit is its first columns plus two)."""
     out: list[int] = []
-
-    def rec(red: list, start: int, mask: int, room: float) -> None:
-        # red: the columns from `start` on, reduced by the ones in mask
-        seen: dict = {}
-        for j, c in enumerate(red, start):
-            if not c:
-                out.append(mask | 1 << j)
-            elif room >= 2:
-                out.extend(mask | 1 << i | 1 << j for i in seen.get(c, ()))
-                seen.setdefault(c, []).append(j)
-        if room > 2:  # a further column leaves room for a pair
-            for k, c in enumerate(red):
-                if c:
-                    rec(kern.reduce(c, red[k + 1:]), start + k + 1, mask | 1 << start + k, room - 1)
-
     if limit >= 1:
-        rec(list(cols), 0, 0, limit)
-    del rec  # rec calls itself through its cell: a cycle that would hold the walk
+        _extend_short_dependent(kern.reduce, list(cols), 0, 0, limit, out)
     return out
+
+
+def _extend_short_dependent(reduce: Callable, red: list, start: int, mask: int, room: float,
+                            out: list[int]) -> None:
+    # red: the columns from `start` on, reduced by the ones in mask
+    seen: dict = {}
+    for j, c in enumerate(red, start):
+        if not c:
+            out.append(mask | 1 << j)
+        elif room >= 2:
+            out.extend(mask | 1 << i | 1 << j for i in seen.get(c, ()))
+            seen.setdefault(c, []).append(j)
+    if room > 2:  # a further column leaves room for a pair
+        for k, c in enumerate(red):
+            if c:
+                _extend_short_dependent(reduce, reduce(c, red[k + 1:]), start + k + 1,
+                                        mask | 1 << start + k, room - 1, out)
 
 
 def _hitting_sets(n: int, k: int, sets: Iterable[int]):
@@ -778,28 +768,26 @@ def _hitting_sets(n: int, k: int, sets: Iterable[int]):
     yet met would leave it unmet, and the last element must lie in every
     set not yet met."""
     sets = list(sets)
+    if k:
+        yield from _extend_hitting(n, 0, k, (), 0, sets)
+    elif not sets:
+        yield (), 0
 
-    def rec(start: int, need: int, chosen: tuple[int, ...], mask: int, unmet: list[int]):
-        if need == 1:
-            last = functools.reduce(operator.and_, unmet, (1 << n) - 1) >> start << start
-            while last:
-                bit = last & -last
-                last ^= bit
-                yield chosen + (bit.bit_length() - 1,), mask | bit
-            return
-        stop = min(s.bit_length() for s in unmet) if unmet else n
-        for j in range(start, min(stop, n - need + 1)):
-            bit = 1 << j
-            yield from rec(j + 1, need - 1, chosen + (j,), mask | bit,
-                           [s for s in unmet if not s & bit])
 
-    try:
-        if k:
-            yield from rec(0, k, (), 0, sets)
-        elif not sets:
-            yield (), 0
-    finally:
-        del rec  # rec calls itself through its cell: a cycle that would hold the walk
+def _extend_hitting(n: int, start: int, need: int, chosen: tuple[int, ...], mask: int, unmet: list[int]):
+    # chosen: the elements so far, all below start; unmet: the sets they miss
+    if need == 1:
+        last = functools.reduce(operator.and_, unmet, (1 << n) - 1) >> start << start
+        while last:
+            bit = last & -last
+            last ^= bit
+            yield chosen + (bit.bit_length() - 1,), mask | bit
+        return
+    stop = min(s.bit_length() for s in unmet) if unmet else n
+    for j in range(start, min(stop, n - need + 1)):
+        bit = 1 << j
+        yield from _extend_hitting(n, j + 1, need - 1, chosen + (j,), mask | bit,
+                                   [s for s in unmet if not s & bit])
 
 
 def has_minor(m: RepMatroid, target: RepMatroid) -> Optional[tuple[frozenset[str], frozenset[str]]]:

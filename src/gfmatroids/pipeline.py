@@ -3,20 +3,23 @@
 For a basis B the short circuit is the smallest among every fundamental
 circuit and one circuit for each of the closest non-basis column pairs of
 the standard form [I | A] (closest by symmetric difference and by Hamming
-distance, both found by one scan, `setsystem.separation`).  For a pair
+distance, both found by one scan, `setsystem._closest_pairs`).  For a pair
 e, f let D be {e, f} plus the basis rows where a_e and a_f differ.  When
 a_e and a_f share a nonzero entry, D has nullity 1 and is itself the
 circuit, so no rank test runs; otherwise `circuit_of_dependent` shrinks D.
 A duplicate-column parallel pair gives D = {e, f}.  The result always
 satisfies |C \\ B| <= 2 and |C| <= hamming(closest pair) + 2.
 
-Over GF(2) a basis is read without a standard form: `_gf2_basis` tags
-each basis column of m's packed bitmasks with a bit above the row bits
-and reduces every column by the basis columns with the span kernel's
-`_reduce2`, which leaves each non-basis column e holding C(e, B) - e in
-its tag bits.  The fundamental circuits and the pair sets are then
-masks, and the pair scan runs on a set system of those masks.  Larger
-fields read `standard_form`, as the pair scan needs A's exact values.
+`_read_basis` reads a basis B as data, in one layout for every field:
+each column a_e of A as one mask, bit (v - 1)|E| + j set when a_e holds
+the value v at B's column j.  Its support, the OR of its q - 1 groups of
+|E| bits, is C(e, B) - e; a_e & a_f is nonzero exactly when e and f share
+an entry, and the rows where they differ are their supports' OR less the
+support of a_e & a_f.  The pair scan reads the masks and supports as they
+are.  Over GF(2) the mask is C(e, B) - e, and `_gf2_basis` reads it from
+m's packed bitmasks: it tags each basis column with a bit above the row
+bits and reduces every column by the basis columns with `_reduce2`.
+Larger fields read `standard_form`.
 
 The harness needs only the worst basis: the first in list order whose
 short circuit is largest.  `_worst_of` walks a list of bases, as
@@ -38,7 +41,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from itertools import combinations, compress
+from itertools import combinations
 from operator import and_
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -60,7 +63,7 @@ from .matroid import (
     has_minor,
     sample_bases,
 )
-from .setsystem import SetSystem, build_set_system, greedy_delta_packing, separation, sym_diff_size
+from .setsystem import _closest_pairs, greedy_delta_packing, sym_diff_size
 from . import generators
 
 
@@ -148,46 +151,39 @@ def _gf2_basis(m: RepMatroid, basis: Iterable[str]) -> dict[str, int]:
     raise NotABasisError(f"columns {sorted(basis)} do not form a basis")
 
 
-def _read_basis(m: RepMatroid, basis: Iterable[str]) -> tuple[
-        dict[str, int], Callable[[], SetSystem], Callable[[str, str], tuple[frozenset[str], bool]]]:
-    """One basis B as `_worst_of` reads it: the fundamental circuit C(e, B)
-    of each non-basis e, in column order, as a mask over m's columns; B's
-    set system, built on call, for the closest-pair scan; and, for a pair
-    e, f, the set D of e, f and the elements of B where a_e and a_f
-    differ, with whether a_e and a_f share a nonzero entry.
+def _read_basis(m: RepMatroid, basis: Iterable[str]) -> dict[str, int]:
+    """The column a_e of B's standard form [I | A] for each non-basis e of a
+    basis B, in column order, as one mask of |E|(q - 1) bits: bit
+    (v - 1)|E| + j is set when a_e holds the value v at B's column j, j an
+    index into m's columns.
 
-    Over GF(2) B is read by `_gf2_basis`, and the set system's masks are
-    the columns' masks over m's columns rather than over B's rows: over
-    GF(2) symmetric difference and Hamming distance are popcounts of XOR
-    and AND, whatever the bit layout, and `separation` reads nothing else.
-    Other fields read `standard_form`, as the pair scan needs A's exact
-    values and the packed columns are rescaled.
+    Over GF(2) the mask is C(e, B) - e, read by `_gf2_basis` from the span
+    kernel's bitmasks.  Other fields read `standard_form`.
     """
-    index = m._index
     if m.field.q == 2:
-        a = _gf2_basis(m, basis)
-        fund = {e: x | 1 << index[e] for e, x in a.items()}
-        return (fund, lambda: SetSystem(m.field, (), list(a.items()), a),
-                lambda e, f: (frozenset(_labels_of(m, a[e] ^ a[f])) | {e, f}, a[e] & a[f] != 0))
+        return _gf2_basis(m, basis)
     sf = standard_form(m.matrix, m.labels, basis)
-    rows = [1 << index[b] for b in sf.basis_order]
-    cols = dict(zip(sf.nonbasis_order, sf.a.col_tuples()))
-    fund = {e: 1 << index[e] | sum(compress(rows, col)) for e, col in cols.items()}
+    n, rows = m.size, m.indices_of(sf.basis_order)
+    return {e: sum(1 << (v - 1) * n + j for j, v in zip(rows, col) if v)
+            for e, col in zip(sf.nonbasis_order, sf.a.col_tuples())}
 
-    def pair(e: str, f: str) -> tuple[frozenset[str], bool]:
-        ce, cf = cols[e], cols[f]
-        return (frozenset(b for b, x, y in zip(sf.basis_order, ce, cf) if x != y) | {e, f},
-                any(x == y != 0 for x, y in zip(ce, cf)))
 
-    return fund, lambda: build_set_system(sf), pair
+def _support(x: int, n: int) -> int:
+    """The columns where a mask of `_read_basis` is nonzero, over m's n
+    columns: the OR of its groups of n bits."""
+    out, low = 0, (1 << n) - 1
+    while x:
+        out |= x & low
+        x >>= n
+    return out
 
 
 def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], Iterable[str]]
               ) -> tuple[int, frozenset[str], ShortCircuitStats]:
     """`_worst_basis` on bases given as bitmasks over m's columns; the
     labels of the basis at a position, `labels_at(pos)`, go to
-    `_read_basis`, which reads a GF(2) basis from the span kernel's
-    bitmasks and any other from `standard_form`.
+    `_read_basis`, whose column masks give the fundamental circuits, the
+    closest-pair scan and the pair sets.
 
     A short circuit is at most the smallest fundamental circuit, so a basis
     whose bound is below the best size so far, or equal to it with the basis
@@ -202,7 +198,8 @@ def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], It
     circuit and its stats are built only for a basis that becomes the worst
     so far.
     """
-    elem = _element_masks(masks, [1 << j for j in range(m.size)])
+    n = m.size
+    elem = _element_masks(masks, [1 << j for j in range(n)])
     known: set[int] = set()  # fundamental circuits found so far, as masks
     pending: list[list[int]] = [[] for _ in range(m.rank + 2)]  # those without a cover, by size
     covered = 0  # positions the covers prune
@@ -226,32 +223,36 @@ def _worst_of(m: RepMatroid, masks: Sequence[int], labels_at: Callable[[int], It
         todo ^= low
         pos = low.bit_length() - 1
         basis = labels_at(pos)
-        fund, system, pair = _read_basis(m, basis)
-        if not fund:
+        a = _read_basis(m, basis)
+        if not a:
             raise NoCircuitError("free matroid has no circuits")
-        for c in fund.values():
+        supp = {e: _support(x, n) for e, x in a.items()}
+        fund = [s | 1 << m._index[e] for e, s in supp.items()]
+        for c in fund:
             if c not in known:
                 known.add(c)
                 pending[c.bit_count()].append(c)
-        bound = min(map(int.bit_count, fund.values()))
+        bound = min(map(int.bit_count, fund))
         if (bound, -pos) < best:
             continue
         sep, pairs = None, []
-        if len(fund) >= 2:
-            sep = separation(system())
+        if len(a) >= 2:
+            sep = _closest_pairs([(e, a[e], supp[e]) for e in sorted(a)])
             for e, f in dict.fromkeys([sep.min_pair, sep.hamming_pair]):
-                circ, shared = pair(e, f)
+                # e, f and the rows where a_e and a_f differ
+                same = a[e] & a[f]
+                circ = frozenset(_labels_of(m, (supp[e] | supp[f]) & ~_support(same, n))) | {e, f}
                 # when a_e and a_f share a nonzero entry, e is outside the span
                 # of the differing rows: the pair set has nullity 1, and its one
                 # dependency e - f - sum (a_e - a_f)_b b has full support
-                if not shared:
+                if not same:
                     circ = circuit_of_dependent(m, circ)
                 pairs.append(circ)
         size = min([bound] + [len(c) for c in pairs])
         if (size, -pos) < best:
             continue
         # the smallest circuit by sorted labels, a fundamental one before a pair's
-        candidates = [(sorted(_labels_of(m, c)), "fundamental") for c in fund.values()
+        candidates = [(sorted(_labels_of(m, c)), "fundamental") for c in fund
                       if c.bit_count() == size]
         candidates += [(sorted(c), "pair") for c in pairs if len(c) == size]
         labels, source = min(candidates)

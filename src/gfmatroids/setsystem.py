@@ -6,9 +6,9 @@ Each non-basis element e contributes the set F_e of pairs (b, A[b,e]) with
 a nonzero entry.  Two elements get the same set exactly when their columns
 are equal.
 
-`separation` is the one closest-pair scan: the `separation` command runs
-it on the canonical basis, and the short-circuit harness in `pipeline` on
-the `build_set_system` of each basis it scans for pairs.
+One closest-pair scan, `_closest_pairs`, serves `separation`, which the
+`separation` command runs on the canonical basis, and the short-circuit
+harness in `pipeline`, on the column masks of each basis it scans.
 """
 
 from __future__ import annotations
@@ -178,7 +178,13 @@ class SeparationReport:
 def separation(s: SetSystem) -> SeparationReport:
     """Closest pairs by symmetric difference and by Hamming distance, each
     with the lexicographically first pair among ties, from one scan."""
-    members = [(l, s._by_label[l], s._support[l]) for l in sorted(s.labels)]
+    return _closest_pairs([(l, s._by_label[l], s._support[l]) for l in sorted(s.labels)])
+
+
+def _closest_pairs(members: list[tuple[str, int, int]]) -> SeparationReport:
+    """`separation` on members (label, M_e, N_e) in sorted label order, in
+    any layout with one bit of M_e per (row, nonzero value) and one of N_e
+    per row: the set system's, or the harness's column masks."""
     if len(members) < 2:
         raise InsufficientFamilyError(
             f"separation needs >= 2 member sets, got {len(members)}"

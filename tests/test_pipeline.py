@@ -20,6 +20,7 @@ from gfmatroids import (
     field_from_order,
     find_short_circuit,
     from_id,
+    girth,
     graphic,
     has_minor,
     is_circuit,
@@ -29,6 +30,7 @@ from gfmatroids import (
     packing_ratios,
     projective_geometry,
     random_matroid,
+    rank_table,
     rref,
     sample_bases,
     standard_form,
@@ -457,22 +459,25 @@ def test_short_circuit_sizes_rejects_a_non_basis(bad, error):
         assert str(want.value) == "unknown labels in basis: ['3-9', 'x']"
 
 
-def _binary_matroid(rng, rows, n):
-    """A random binary matroid on `rows` rows and n columns, drawn so that
-    rows often exceed the rank, with loops and repeated columns."""
+def _messy_matroid(rng, f, rows, n):
+    """A random matroid over f on `rows` rows and n columns, drawn so that
+    rows often exceed the rank, with loops and parallel columns: repeated
+    ones, and over GF(q > 2) nonzero multiples."""
     cols = []
     for _ in range(n):
         kind = rng.random()
         if kind < 0.15:
             cols.append([0] * rows)
         elif kind < 0.3 and cols:
-            cols.append(list(rng.choice(cols)))
+            c = rng.choice(cols)
+            scale = rng.randrange(1, f.q) if f.q > 2 else 1
+            cols.append([f.mul(scale, x) for x in c])
         else:
-            cols.append([rng.randrange(2) for _ in range(rows)])
+            cols.append([rng.randrange(f.q) for _ in range(rows)])
     spare = rng.randrange(rows)  # a row that repeats another, or is zero
     for col in cols:
         col[spare] = col[rng.randrange(rows)] if rng.random() < 0.5 else 0
-    return RepMatroid(F2, GFMatrix(F2, [list(r) for r in zip(*cols)]), [f"e{j}" for j in range(n)])
+    return RepMatroid(f, GFMatrix(f, [list(r) for r in zip(*cols)]), [f"e{j}" for j in range(n)])
 
 
 def test_gf2_basis_reading_matches_the_standard_form_reference():
@@ -483,7 +488,7 @@ def test_gf2_basis_reading_matches_the_standard_form_reference():
     seen = {"rows above rank": 0, "loop": 0, "repeat": 0, "unknown": 0, "dependent": 0,
             "non-spanning": 0}
     for i in range(300):
-        m = _binary_matroid(rng, 1 + i % 7, 1 + rng.randrange(12))
+        m = _messy_matroid(rng, F2, 1 + i % 7, 1 + rng.randrange(12))
         cols = m.matrix.col_tuples()
         seen["rows above rank"] += m.matrix.rows > m.rank
         seen["loop"] += not all(map(any, cols))
@@ -513,6 +518,55 @@ def test_gf2_basis_reading_matches_the_standard_form_reference():
     assert min(seen.values()) >= 40, seen
 
 
+def _decoded_column(x, m, basis_order):
+    """The values per basis row of a column mask of `_read_basis`: bit
+    (v - 1)|E| + j is the value v at m's column j."""
+    n, q = m.size, m.field.q
+    assert 0 <= x < 1 << (q - 1) * n
+    groups = [x >> (v - 1) * n & (1 << n) - 1 for v in range(1, q)]
+    col = []
+    for b in basis_order:
+        j = m.labels.index(b)
+        values = [v for v, g in enumerate(groups, 1) if g >> j & 1]
+        assert len(values) <= 1
+        col.append(values[0] if values else 0)
+    assert x.bit_count() == sum(map(bool, col))  # no bit off B's columns
+    return tuple(col)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_read_basis_masks_decode_to_the_standard_form_over_gfq(q):
+    # every field's basis reader gives A's columns in one mask layout:
+    # decoded, they are the standard form's A, value and position, and the
+    # worst basis read from them is the reference's over every basis and
+    # over sampled lists
+    f = field_from_order(q)
+    rng = random.Random(3100 + q)
+    seen = {"rows above rank": 0, "loop": 0, "parallel": 0, "free": 0}
+    for i in range(40):
+        m = _messy_matroid(rng, f, 1 + i % 5, 1 + rng.randrange(8))
+        cols = m.matrix.col_tuples()
+        seen["rows above rank"] += m.matrix.rows > m.rank
+        seen["loop"] += not all(map(any, cols))
+        seen["parallel"] += len({f.normalize(c) for c in cols if any(c)}) < sum(map(any, cols))
+        listed = bases(m)
+        for b in listed:
+            sf = standard_form(m.matrix, m.labels, b)
+            a = pipeline._read_basis(m, b)
+            assert list(a) == list(sf.nonbasis_order)
+            assert [_decoded_column(a[e], m, sf.basis_order) for e in a] == list(sf.a.col_tuples())
+        if m.rank == m.size:
+            seen["free"] += 1
+            with pytest.raises(NoCircuitError):
+                pipeline._worst_basis(m, listed)
+            continue
+        refs = {frozenset(b): short_circuit_reference(m, b) for b in listed}
+        for basis_list in (listed, listed[::-1], sample_bases(m, 6, seed=i)):
+            assert pipeline._worst_basis(m, basis_list) == _first_worst(
+                [refs[frozenset(b)] for b in basis_list])
+    assert min(seen.values()) >= 5, seen
+
+
 def test_short_circuit_reads_a_one_shot_basis_once():
     pet = graphic(named_graph("petersen"), F2)
     basis = bases(pet)[0]
@@ -524,9 +578,9 @@ def test_short_circuit_reads_a_one_shot_basis_once():
 def test_verify_dichotomy_reduces_no_basis_past_the_worst_basis_walk(monkeypatch):
     # the walk's circuit and stats are the report's: verify makes no call
     # of its own to a basis reader, `_gf2_basis` over GF(2) and
-    # `standard_form` otherwise, or to `separation`
+    # `standard_form` otherwise, or to the closest-pair scan
     counts = {}
-    for name in ("standard_form", "_gf2_basis", "separation"):
+    for name in ("standard_form", "_gf2_basis", "_closest_pairs"):
         def counted(*args, _fn=getattr(pipeline, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args)
@@ -542,22 +596,36 @@ def test_verify_dichotomy_reduces_no_basis_past_the_worst_basis_walk(monkeypatch
         pos, circ, _ = pipeline._worst_basis(m, basis_list)
         assert (rep.basis, rep.circuit) == (basis_list[pos], tuple(sorted(circ)))
         read, unread = ("_gf2_basis", "standard_form") if m.field.q == 2 else ("standard_form", "_gf2_basis")
-        assert in_verify == counts and counts[read] > 0 and counts["separation"] > 0
+        assert in_verify == counts and counts[read] > 0 and counts["_closest_pairs"] > 0
         assert unread not in counts
 
 
 def test_verify_dichotomy_leaves_no_reference_cycles():
     # the recursive walks free their lists when they end, without waiting
-    # for the cyclic collector
-    instances = [(graphic(named_graph("petersen"), F2), 5), (graphic(named_graph("cube"), F3), 4)]
-    for m, t in instances:
-        verify_dichotomy(m, t)  # builds the cached targets first
+    # for the cyclic collector: verify, and each walk's own entry point
+    pet, cube3 = graphic(named_graph("petersen"), F2), graphic(named_graph("cube"), F3)
+    k4 = clique(4, F2)
+    calls = {
+        "verify": lambda: [verify_dichotomy(pet, 5), verify_dichotomy(cube3, 4)],
+        "girth with a cutoff": lambda: girth(pet, cutoff=5),
+        "rank_table": lambda: rank_table(k4),
+        "bases": lambda: bases(pet),
+        "is_isomorphic": lambda: is_isomorphic(k4, clique(4, F2)),
+        # codeword mode, short dependent sets, and the dual side first
+        "has_minor codewords": lambda: has_minor(pet, clique(5, F2)),
+        "has_minor short sets": lambda: has_minor(projective_geometry(3, F3), clique(4, F3)),
+        "has_minor dual side": lambda: has_minor(graphic(named_graph("petersen"), F5),
+                                                 clique(5, F5, dualize=True)),
+        "find_short_circuit": lambda: find_short_circuit(cube3, bases(cube3)[0]),
+    }
+    for call in calls.values():
+        call()  # builds the cached targets first
     gc.collect()
     gc.disable()
     try:
-        for m, t in instances:
-            verify_dichotomy(m, t)
-        assert gc.collect() == 0
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
